@@ -12,9 +12,10 @@ unit. The last line of standard output is one JSON object:
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
 With --trace 0 the metrics are BENCHMARK.json's end_to_end list, timed with
-tracing off; with --trace 1 they are its per_layer list from a second,
-traced run, and the Chrome trace-event file is written next to the raw
-results. README.md describes the workloads and the metrics.
+tracing off, the wall-clock ones scaled to reference machine speed
+(src/speed.h; the log prints the wall values too); with --trace 1 they are
+its per_layer list from a second, traced run, and the Chrome trace-event
+file is written next to the raw results. README.md describes the workloads and the metrics.
 
 The exit code is non-zero when the build fails, a correctness or
 non-vacuity check fails, or a steadiness guard trips (backlog growth, or a
@@ -35,7 +36,7 @@ BINARY = os.path.join(BUILD_DIR, "perfbench_serving")
 RUNS_DIR = os.path.join(REPO, ".bench_build", "runs")
 BENCHMARK_JSON = os.path.join(REPO, "BENCHMARK.json")
 
-LANES = 2                 # engine pool lanes; + prefetch + caller <= 4 vCPUs
+LANES = 1                 # engine pool lanes (the caller alone), see README
 MIN_BEYOND = 10           # samples a reported percentile must have beyond it
 SLOW_STEP_FACTOR = 3.0    # a TBT gap this many medians long is a slow step
 BINARY_TIMEOUT_S = 170
@@ -160,10 +161,30 @@ def run_binary(args, raw_path, trace_path):
 
 # ---------------------------------------------------------------- metrics
 
+# End-to-end metrics read on the wall clock, scaled to reference speed.
+SCALED_TIMES = ("setup_s", "ttft_p50_s", "ttft_tail_s", "tbt_p50_s",
+                "tbt_tail_s", "jct_p50_s", "jct_tail_s")
+
+
+# How much the workloads' times move per unit move of the reference
+# kernel's, on a log scale: a machine slowdown that stretches the kernel's
+# slices 1.6x stretches the workloads ~1.3x. Fitted on four sets of runs
+# (README.md, Steadiness); 1.0 over-corrected, 0.5 suited both workloads.
+SPEED_ELASTICITY = 0.5
+
+
+def speed_scale(speed):
+    """(Reference slice time / this run's median slice time) to the power
+    SPEED_ELASTICITY (see src/speed.h): times multiply by it, rates divide
+    by it, and both then read as on a machine at reference speed."""
+    ratio = speed["reference_slice_s"] / statistics.median(speed["slices_s"])
+    return ratio ** SPEED_ELASTICITY
+
+
 def end_to_end(raw):
     u = raw["untraced"]
     ttft, tbt, jct = (summarize(u[k]) for k in ("ttft_s", "tbt_s", "jct_s"))
-    metrics = {
+    wall = {
         "setup_s": statistics.median(raw["setup_s"]),
         "ttft_p50_s": ttft["p50"],
         "ttft_tail_s": ttft["tail"],
@@ -172,18 +193,30 @@ def end_to_end(raw):
         "jct_p50_s": jct["p50"],
         "jct_tail_s": jct["tail"],
         "tokens_per_s": u["generated"] / u["makespan_s"],
+    }
+    scale = speed_scale(raw["speed"])
+    metrics = dict(wall)
+    for k in SCALED_TIMES:
+        metrics[k] = wall[k] * scale
+    # An open loop's tokens/s is its offered load (below the knee), not a
+    # speed: it stays as measured.
+    if raw["rate_rps"] == 0:
+        metrics["tokens_per_s"] = wall["tokens_per_s"] / scale
+    metrics.update({
         "completed_frac": u["completed"] / u["submitted"],
         "token_match_frac": raw["sampled_match"] / raw["sampled"],
         "wire_bytes_per_prompt_token": raw["wire_bytes_per_prompt_token"],
         "peak_rss_mib": raw["peak_rss_mib"],
-    }
+    })
     notes = {f"{k}_tail_s": f"{s['tail_label']} of {s['n']}, "
              f"{s['tail_beyond']} beyond"
              for k, s in (("ttft", ttft), ("tbt", tbt), ("jct", jct))}
     for k, s in (("ttft", ttft), ("tbt", tbt), ("jct", jct)):
         notes[f"{k}_p50_s"] = f"p50 of {s['n']}"
     notes["setup_s"] = f"median of {len(raw['setup_s'])} set-ups"
-    return metrics, notes, {"ttft": ttft, "tbt": tbt, "jct": jct}
+    for k, v in wall.items():
+        notes[k] = (notes.get(k, "") + f"; wall {v:.6g}").lstrip("; ")
+    return metrics, notes, {"ttft": ttft, "tbt": tbt, "jct": jct}, scale
 
 
 def validate_declared(spec):
@@ -244,7 +277,17 @@ def main(argv=None):
     if u["completed"] != u["submitted"]:
         wrong.append(f"{u['submitted'] - u['completed']} requests failed")
 
-    e2e, notes, sums = end_to_end(raw)
+    e2e, notes, sums, scale = end_to_end(raw)
+    speed = raw["speed"]
+    by_cpu = {}
+    for cpu, t in zip(speed["slice_cpus"], speed["slices_s"]):
+        by_cpu.setdefault(int(cpu), []).append(t)
+    per_cpu = ", ".join(f"vCPU {c} {statistics.median(v) * 1e3:.1f}"
+                        for c, v in sorted(by_cpu.items()))
+    log(f"  machine speed: {len(speed['slices_s'])} reference slices, median "
+        f"{statistics.median(speed['slices_s']) * 1e3:.2f} ms ({per_cpu}) "
+        f"against {speed['reference_slice_s'] * 1e3:.2f} ms; wall-clock "
+        f"metrics x {scale:.4f} to reference speed")
     if open_loop:
         g = backlog_guard(u["queue_wait_s"], sums["jct"]["p50"])
         log(f"  backlog guard: {'ok' if g['ok'] else 'FAILED'} (queue wait "

@@ -11,8 +11,9 @@
 // requests through the workload's engine), serves the workload once with
 // tracing off, with --trace 1 once more traced, then runs the correctness
 // checks, whose split-phase replay also gives the per-layer timings the
-// engine's fused path hides. Check failures are recorded in the output; the
-// exit code is non-zero only for usage or I/O errors.
+// engine's fused path hides. A SpeedSampler (speed.h) samples the machine's
+// speed through set-up and the measured runs. Check failures are recorded
+// in the output; the exit code is non-zero only for usage or I/O errors.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -35,6 +36,7 @@
 #include "replay.h"
 #include "serving/engine.h"
 #include "serving/fleet.h"
+#include "speed.h"
 #include "workloads.h"
 
 #ifndef PERFBENCH_BUILD_TYPE
@@ -115,6 +117,19 @@ std::string fingerprint_json(const std::string& workload, std::uint64_t seed) {
       .str("build_type", PERFBENCH_BUILD_TYPE)
       .str("workload", workload)
       .num("seed", static_cast<double>(seed))
+      .dump();
+}
+
+std::string speed_json(const SpeedSampler& sampler) {
+  std::vector<double> cpus, seconds;
+  for (const SpeedSampler::Slice& s : sampler.slices()) {
+    cpus.push_back(s.cpu);
+    seconds.push_back(s.seconds);
+  }
+  return JsonObject()
+      .num("reference_slice_s", kReferenceSliceS)
+      .raw("slices_s", jarr(seconds))
+      .raw("slice_cpus", jarr(cpus))
       .dump();
 }
 
@@ -616,6 +631,8 @@ int run(const Args& a) {
   }
   Probe probe(a.trace == 1);
   const std::int64_t root = probe.open("workload");
+  // Samples the machine's speed through set-up and the measured runs.
+  SpeedSampler sampler(pthread_self());
 
   // Set-up, several times: weights + warm-up through the same engine type.
   std::vector<double> setup_s;
@@ -647,6 +664,7 @@ int run(const Args& a) {
     probe.close(span);
     engine_append = probe.total(Probe::kAppend);
   }
+  sampler.stop();
   CheckResult checks = run_checks(w, weights, untraced, probe);
   if (a.trace == 1) {
     bool same = traced.tokens == untraced.tokens;
@@ -664,6 +682,7 @@ int run(const Args& a) {
       .num("pool_blocks", static_cast<double>(w.pool_blocks))
       .raw("setup_s", jarr(setup_s))
       .num("peak_rss_mib", rss)
+      .raw("speed", speed_json(sampler))
       .raw("untraced", run_json(untraced))
       .num("sampled", static_cast<double>(checks.sampled))
       .num("sampled_match", static_cast<double>(checks.sampled_match))

@@ -139,13 +139,13 @@ hack::HackAttentionConfig attention_config() {
   return a;
 }
 
-// Rates and per-request costs below were measured at 2 pool lanes on a
-// 4-vCPU AVX2 Xeon. Chat capacity (an offline batch of its requests in 4
-// slots) is ~1.45 req/s; its rate is about half that. A longdoc prompt
-// (mean ~1200 tokens) keeps the prefill worker busy ~2 s; its rate is a
-// quarter of that capacity, which costs no wall time (the fleet's timeline
-// is virtual) and keeps it below the knee even when the machine runs 1.6x
-// slower. A pressure request costs ~1-1.5 s of batch time.
+// Rates and per-request costs below were measured with a 1-lane pool on a
+// 4-vCPU AVX2 Xeon. Chat saturates at ~0.8-0.9 req/s (at 0.8 the queue wait
+// grew from 0 to 1.2 s over a run); its rate is about half that. A longdoc
+// prompt (mean ~850 tokens) keeps the prefill worker busy ~2 s; its rate is
+// a quarter of that capacity, which costs no wall time (the fleet's
+// timeline is virtual) and keeps it below the knee even when the machine
+// runs 1.6x slower. A pressure request costs ~1.6 s of batch time.
 Workload make_workload(const std::string& name, std::uint64_t seed,
                        double seconds) {
   Workload w;
@@ -153,7 +153,7 @@ Workload make_workload(const std::string& name, std::uint64_t seed,
   if (name == "chat") {
     const hack::DatasetSpec& he = hack::dataset_by_name("HumanEval");
     w.serving = Serving::kColocated;
-    w.rate_rps = 0.8;
+    w.rate_rps = 0.45;
     // 64-row chunks: enough chunk steps that the TBT tail sits well inside
     // the slow (prefill-carrying) step mode, not on its edge.
     w.prefill_chunk = 64;
@@ -168,8 +168,8 @@ Workload make_workload(const std::string& name, std::uint64_t seed,
     w.serving = Serving::kFleet;
     w.rate_rps = 0.12;
     const std::size_t n = sized(seconds, 2.0);
-    w.requests = make_requests({.input = {.avg = 1000, .min = 1000,
-                                          .max = 2000},
+    w.requests = make_requests({.input = {.avg = 700, .min = 700,
+                                          .max = 1400},
                                 .output = {.avg = 20, .min = 8, .max = 32}},
                                n, w.rate_rps, seed);
   } else if (name == "pressure") {
@@ -177,7 +177,7 @@ Workload make_workload(const std::string& name, std::uint64_t seed,
     w.serving = Serving::kTiered;
     w.prefill_chunk = 128;
     w.max_active = 8;
-    const std::size_t n = sized(seconds, 1.3);
+    const std::size_t n = sized(seconds, 1.6);
     w.requests = make_requests(
         {imdb.input, {.avg = 192, .min = 96, .max = 384}}, n, 0.0, seed);
     // A third of the running batch's worst-case demand, but never below

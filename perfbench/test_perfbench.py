@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The benchmark's own tests: the tail-percentile rule, the metric-name
-grammar, the backlog guard, the TBT mode check, and seeded workload
-generation. Run from the repository root:
+grammar, the backlog guard, the TBT mode check, the speed scaling, and
+seeded workload generation. Run from the repository root:
 
     python3 perfbench/test_perfbench.py
 
@@ -130,6 +130,46 @@ class TbtModesTest(unittest.TestCase):
         m = run.tbt_modes([0.005 + 1e-5 * i for i in range(300)], [500, 966])
         self.assertTrue(m["ok"])
         self.assertEqual(m["slow_share"], 0.0)
+
+
+class SpeedScaleTest(unittest.TestCase):
+    @staticmethod
+    def raw(slices, rate_rps=0.0):
+        samples = [0.5, 0.7, 0.6]
+        return {
+            "setup_s": [0.6, 0.5, 0.7],
+            "rate_rps": rate_rps,
+            "untraced": {"ttft_s": samples * 7, "tbt_s": samples * 7,
+                         "jct_s": samples * 7, "generated": 300,
+                         "makespan_s": 10.0, "completed": 21,
+                         "submitted": 21},
+            "sampled": 1, "sampled_match": 1,
+            "wire_bytes_per_prompt_token": 380.0, "peak_rss_mib": 80.0,
+            "speed": {"reference_slice_s": 0.03, "slices_s": slices},
+        }
+
+    def test_reference_speed_leaves_wall_values(self):
+        m, _, _, scale = run.end_to_end(self.raw([0.02, 0.03, 0.04]))
+        self.assertEqual(scale, 1.0)
+        self.assertAlmostEqual(m["setup_s"], 0.6)
+        self.assertAlmostEqual(m["tokens_per_s"], 30.0)
+
+    def test_slower_machine_scales_times_down_and_rates_up(self):
+        m, notes, _, scale = run.end_to_end(self.raw([0.06, 0.05, 0.07]))
+        self.assertAlmostEqual(scale, 0.5 ** run.SPEED_ELASTICITY)
+        for k in run.SCALED_TIMES:
+            self.assertAlmostEqual(m[k], 0.6 * scale, msg=k)
+            self.assertIn("wall 0.6", notes[k])
+        self.assertAlmostEqual(m["tokens_per_s"], 30.0 / scale)
+        # Counts and fractions are not clock readings.
+        self.assertEqual(m["wire_bytes_per_prompt_token"], 380.0)
+        self.assertEqual(m["peak_rss_mib"], 80.0)
+        self.assertEqual(m["completed_frac"], 1.0)
+
+    def test_open_loop_throughput_is_not_scaled(self):
+        m, _, _, scale = run.end_to_end(self.raw([0.06, 0.05, 0.07], 0.5))
+        self.assertAlmostEqual(m["ttft_p50_s"], 0.6 * scale)
+        self.assertAlmostEqual(m["tokens_per_s"], 30.0)
 
 
 class WorkloadSeedTest(unittest.TestCase):
