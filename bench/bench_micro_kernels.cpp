@@ -8,11 +8,16 @@
 // blocked engine at 1 thread and at full parallelism, at prefill shapes —
 // the old-vs-new speedup lands in the bench trajectory as
 // {"bench":"hq_gemm_prefill","layout":...,"speedup_blocked_1t":...,...}.
+// A `dense_gemm` line per row count compares the model's dense projections
+// run per lane (one 1-row matmul per sequence) against one stacked GEMM on
+// packed weight panels.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include "attention/flash.h"
 #include "attention/hack_attention.h"
@@ -24,6 +29,7 @@
 #include "quant/packed.h"
 #include "quant/quantizer.h"
 #include "tensor/ops.h"
+#include "tensor/packed_matrix.h"
 
 namespace {
 
@@ -419,11 +425,75 @@ void print_packed_gemm_comparison_json() {
   std::fflush(stdout);
 }
 
+// --- Dense projections: per-lane GEMVs vs one stacked packed GEMM. ---------
+
+// One layer's seven projections at the serving benchmark's model shape
+// (8 query / 2 KV heads of d_head 128, d_ff 512): the dense work of one
+// engine step, timed single-threaded at M rows. `per_lane_ms` runs each row
+// as its own 1-row matmul on the row-major weights (what every decode lane
+// did before the engine stacked its rows); `stacked_ms` runs all M rows
+// through one packed GEMM per projection. The two must agree bit for bit.
+void print_dense_gemm_comparison_json() {
+  const std::size_t d = 1024, kv = 256, d_ff = 512;
+  const struct {
+    std::size_t rows, cols;
+  } shapes[] = {{d, d}, {d, kv}, {d, kv}, {d, d},
+                {d, d_ff}, {d, d_ff}, {d_ff, d}};
+  Rng rng(90);
+  std::vector<Matrix> weights;
+  std::vector<PackedMatrix> packed;
+  for (const auto& sh : shapes) {
+    weights.push_back(Matrix::random_gaussian(sh.rows, sh.cols, rng, 0.03f));
+    packed.emplace_back(weights.back());
+  }
+  for (const std::size_t m : {1u, 8u, 128u}) {
+    std::vector<Matrix> inputs;
+    for (const auto& sh : shapes) {
+      inputs.push_back(Matrix::random_gaussian(m, sh.rows, rng));
+    }
+    std::vector<Matrix> per_lane(weights.size()), stacked(weights.size());
+    const auto run_per_lane = [&] {
+      for (std::size_t w = 0; w < weights.size(); ++w) {
+        per_lane[w] = Matrix(m, weights[w].cols());
+        for (std::size_t r = 0; r < m; ++r) {
+          const Matrix row =
+              matmul(take_rows(inputs[w], r, r + 1), weights[w]);
+          std::copy(row.flat().begin(), row.flat().end(),
+                    per_lane[w].row(r).begin());
+        }
+      }
+    };
+    const auto run_stacked = [&] {
+      for (std::size_t w = 0; w < weights.size(); ++w) {
+        stacked[w] = matmul(inputs[w], packed[w], 1);
+      }
+    };
+    const int reps = m >= 128 ? 3 : 9;
+    const double per_lane_ms = time_best_ms(run_per_lane, reps);
+    const double stacked_ms = time_best_ms(run_stacked, reps);
+    bool identical = true;
+    for (std::size_t w = 0; w < weights.size(); ++w) {
+      identical = identical &&
+                  std::memcmp(per_lane[w].flat().data(),
+                              stacked[w].flat().data(),
+                              per_lane[w].size() * sizeof(float)) == 0;
+    }
+    std::printf(
+        "{\"bench\":\"dense_gemm\",\"m\":%zu,\"d_model\":%zu,"
+        "\"kv_dim\":%zu,\"d_ff\":%zu,\"threads\":1,\"per_lane_ms\":%.3f,"
+        "\"stacked_ms\":%.3f,\"speedup\":%.2f,\"bit_identical\":%s}\n",
+        m, d, kv, d_ff, per_lane_ms, stacked_ms, per_lane_ms / stacked_ms,
+        identical ? "true" : "false");
+  }
+  std::fflush(stdout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   print_hq_gemm_comparison_json();
   print_packed_gemm_comparison_json();
+  print_dense_gemm_comparison_json();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -39,7 +39,7 @@ import sys
 # measurement itself. Any of these present in a JSON line joins the match key.
 DISCRIMINATORS = (
     "bench", "mode", "name", "label", "fig", "table", "section", "layout",
-    "kv_bits", "q_bits", "bits", "pi", "context", "threads", "requests",
+    "kv_bits", "q_bits", "bits", "pi", "context", "threads", "requests", "m",
     "engine", "policy", "kills", "prefill_workers", "decode_workers",
     "worker", "role", "arrival", "dataset", "model", "gpus",
 )

@@ -287,20 +287,25 @@ TinyModelWeights::TinyModelWeights(const TinyConfig& config)
   const float proj_std = 1.0f / std::sqrt(static_cast<float>(d));
   const float ff_std = 1.0f / std::sqrt(static_cast<float>(config.d_ff));
 
+  // Each projection is drawn in row-major order (the Rng order every
+  // earlier version used) and packed row by row as it is drawn.
+  const auto draw = [&rng](std::size_t rows, std::size_t cols, float stddev) {
+    PackedMatrix w(rows, cols);
+    for (std::size_t k = 0; k < rows; ++k) {
+      w.set_row(k, Matrix::random_gaussian(1, cols, rng, stddev).row(0));
+    }
+    return w;
+  };
   embedding_ = Matrix::random_gaussian(config.vocab, d, rng, proj_std);
   layers_.resize(config.layers);
   for (LayerWeights& lw : layers_) {
-    lw.wq = Matrix::random_gaussian(d, config.heads * config.d_head, rng,
-                                    proj_std);
-    lw.wk = Matrix::random_gaussian(d, config.kv_heads * config.d_head, rng,
-                                    proj_std);
-    lw.wv = Matrix::random_gaussian(d, config.kv_heads * config.d_head, rng,
-                                    proj_std);
-    lw.wo = Matrix::random_gaussian(config.heads * config.d_head, d, rng,
-                                    proj_std);
-    lw.w_gate = Matrix::random_gaussian(d, config.d_ff, rng, proj_std);
-    lw.w_up = Matrix::random_gaussian(d, config.d_ff, rng, proj_std);
-    lw.w_down = Matrix::random_gaussian(config.d_ff, d, rng, ff_std);
+    lw.wq = draw(d, config.heads * config.d_head, proj_std);
+    lw.wk = draw(d, config.kv_heads * config.d_head, proj_std);
+    lw.wv = draw(d, config.kv_heads * config.d_head, proj_std);
+    lw.wo = draw(config.heads * config.d_head, d, proj_std);
+    lw.w_gate = draw(d, config.d_ff, proj_std);
+    lw.w_up = draw(d, config.d_ff, proj_std);
+    lw.w_down = draw(config.d_ff, d, ff_std);
     lw.norm_attn.assign(d, 1.0f);
     lw.norm_mlp.assign(d, 1.0f);
   }
@@ -372,6 +377,31 @@ Matrix TinyModelWeights::logits_batch(const Matrix& hidden,
   return out;
 }
 
+TinyModelWeights::QkvRows TinyModelWeights::project_qkv(std::size_t layer,
+                                                        const Matrix& x,
+                                                        int threads) const {
+  HACK_CHECK(layer < layers_.size(), "layer " << layer << " out of range");
+  const LayerWeights& lw = layers_[layer];
+  const Matrix h = rms_norm_rows(x, lw.norm_attn);
+  return {matmul(h, lw.wq, threads), matmul(h, lw.wk, threads),
+          matmul(h, lw.wv, threads)};
+}
+
+Matrix TinyModelWeights::finish_rows(std::size_t layer, Matrix x,
+                                     const Matrix& attn_out,
+                                     int threads) const {
+  HACK_CHECK(layer < layers_.size(), "layer " << layer << " out of range");
+  const LayerWeights& lw = layers_[layer];
+  x = add(x, matmul(attn_out, lw.wo, threads));
+  const Matrix h2 = rms_norm_rows(x, lw.norm_mlp);
+  Matrix gate = matmul(h2, lw.w_gate, threads);
+  const Matrix up = matmul(h2, lw.w_up, threads);
+  for (std::size_t i = 0; i < gate.size(); ++i) {
+    gate.flat()[i] = silu(gate.flat()[i]) * up.flat()[i];
+  }
+  return add(x, matmul(gate, lw.w_down, threads));
+}
+
 void TinyModelWeights::apply_rope(Matrix& x, std::size_t head_count,
                                   std::size_t start_pos) const {
   const std::size_t dh = config_.d_head;
@@ -397,9 +427,11 @@ void TinyModelWeights::apply_rope(Matrix& x, std::size_t head_count,
 std::size_t TinyModelWeights::weight_bytes() const {
   std::size_t floats = embedding_.size() + norm_final_.size();
   for (const LayerWeights& lw : layers_) {
-    floats += lw.wq.size() + lw.wk.size() + lw.wv.size() + lw.wo.size() +
-              lw.w_gate.size() + lw.w_up.size() + lw.w_down.size() +
-              lw.norm_attn.size() + lw.norm_mlp.size();
+    floats += lw.wq.stored_size() + lw.wk.stored_size() +
+              lw.wv.stored_size() + lw.wo.stored_size() +
+              lw.w_gate.stored_size() + lw.w_up.stored_size() +
+              lw.w_down.stored_size() + lw.norm_attn.size() +
+              lw.norm_mlp.size();
   }
   return floats * sizeof(float);
 }
@@ -433,35 +465,28 @@ TinyModelSession::TinyModelSession(
   }
 }
 
-Matrix TinyModelSession::project_and_append(std::size_t layer, const Matrix& x,
-                                            std::size_t start_pos) {
+Matrix TinyModelSession::append_rows(std::size_t layer,
+                                     TinyModelWeights::QkvRows qkv,
+                                     std::size_t start_pos) {
   HACK_CHECK(layer < backends_.size(), "layer " << layer << " out of range");
   HACK_CHECK(start_pos == position_,
              "chunk start " << start_pos << " != session position "
                             << position_);
   const TinyConfig& config = weights_->config();
-  const TinyModelWeights::LayerWeights& lw = weights_->layer(layer);
-  const Matrix h = rms_norm_rows(x, lw.norm_attn);
-  Matrix q = matmul(h, lw.wq);
-  Matrix k = matmul(h, lw.wk);
-  const Matrix v = matmul(h, lw.wv);
-  weights_->apply_rope(q, config.heads, start_pos);
-  weights_->apply_rope(k, config.kv_heads, start_pos);
-  backends_[layer]->append(k, v);
-  return q;
+  weights_->apply_rope(qkv.q, config.heads, start_pos);
+  weights_->apply_rope(qkv.k, config.kv_heads, start_pos);
+  backends_[layer]->append(qkv.k, qkv.v);
+  return std::move(qkv.q);
+}
+
+Matrix TinyModelSession::project_and_append(std::size_t layer, const Matrix& x,
+                                            std::size_t start_pos) {
+  return append_rows(layer, weights_->project_qkv(layer, x), start_pos);
 }
 
 Matrix TinyModelSession::finish_layer(std::size_t layer, Matrix x,
                                       const Matrix& attn_out) const {
-  const TinyModelWeights::LayerWeights& lw = weights_->layer(layer);
-  x = add(x, matmul(attn_out, lw.wo));
-  const Matrix h2 = rms_norm_rows(x, lw.norm_mlp);
-  Matrix gate = matmul(h2, lw.w_gate);
-  const Matrix up = matmul(h2, lw.w_up);
-  for (std::size_t i = 0; i < gate.size(); ++i) {
-    gate.flat()[i] = silu(gate.flat()[i]) * up.flat()[i];
-  }
-  return add(x, matmul(gate, lw.w_down));
+  return weights_->finish_rows(layer, std::move(x), attn_out);
 }
 
 Matrix TinyModelSession::forward_layer(std::size_t layer, const Matrix& x,

@@ -13,9 +13,17 @@
 //   - TinyModelSession: everything one request owns — its per-layer KV
 //     backends and its position on the timeline — plus a per-layer stepping
 //     API. `forward_layer(layer, x, start_pos)` advances a chunk of hidden
-//     states through one layer; the serving engine instead calls the split
-//     halves (`project_and_append`, then attend, then `finish_layer`) so the
-//     attention of many sequences can fuse into one batched launch.
+//     states through one layer.
+//
+// A layer splits into weight-side calls that take any stacked block of
+// hidden rows (`TinyModelWeights::project_qkv` and `finish_rows`: every row
+// is computed on its own, so rows of many sessions at different positions
+// can share one GEMM per projection) and one per-session call
+// (`TinyModelSession::append_rows`: RoPE at the session's own positions,
+// then the KV append). The serving engine stacks every lane's rows through
+// the weight-side calls and fuses the attends of all sequences into one
+// batched launch; `project_and_append`, `finish_layer` and `forward_layer`
+// are the same calls composed for one session.
 //
 // The per-layer KV backend interfaces (HeadBackend / LayerBackend) and their
 // factories live here too: a session is exactly "position + one LayerBackend
@@ -37,6 +45,7 @@
 #include "codec/codec.h"
 #include "quant/minifloat.h"
 #include "tensor/matrix.h"
+#include "tensor/packed_matrix.h"
 
 namespace hack {
 
@@ -132,14 +141,23 @@ struct TinyConfig {
 // (tied LM head), per-layer attention/SwiGLU projections, norm gains.
 // Weights are a deterministic function of config.weight_seed. One instance
 // is shared read-only by every concurrent session; nothing here mutates
-// after construction.
+// after construction. The seven projections of each layer are held only as
+// column panels (tensor/packed_matrix.h): each is drawn in the seed's
+// row-major Rng order and packed one row at a time, so no row-major copy
+// of a whole matrix is ever held.
 class TinyModelWeights {
  public:
   struct LayerWeights {
-    Matrix wq, wk, wv, wo;          // attention projections
-    Matrix w_gate, w_up, w_down;    // SwiGLU
-    std::vector<float> norm_attn;   // RMSNorm gains
+    PackedMatrix wq, wk, wv, wo;        // attention projections
+    PackedMatrix w_gate, w_up, w_down;  // SwiGLU
+    std::vector<float> norm_attn;       // RMSNorm gains
     std::vector<float> norm_mlp;
+  };
+
+  // Un-rotated Q/K/V rows of one layer ([rows, heads * d_head] and
+  // [rows, kv_heads * d_head] twice).
+  struct QkvRows {
+    Matrix q, k, v;
   };
 
   explicit TinyModelWeights(const TinyConfig& config);
@@ -162,13 +180,28 @@ class TinyModelWeights {
   // on the shared pool, 1 = serial, N = at most N chunks of vocab rows).
   Matrix logits_batch(const Matrix& hidden, int threads = 0) const;
 
+  // Phase A's weight side over any stacked block of hidden rows x
+  // ([rows, d_model]): pre-norm and one Q/K/V GEMM each. Row r of the result
+  // depends only on row r of x, so it is bit-identical whatever else is
+  // stacked with it. RoPE is left to TinyModelSession::append_rows, since
+  // it depends on each row's position. `threads` is passed to the GEMMs
+  // (library convention: 0 = auto, 1 = serial, N = cap).
+  QkvRows project_qkv(std::size_t layer, const Matrix& x,
+                      int threads = 0) const;
+
+  // Phase B over any stacked block: folds the attention output back into x
+  // (Wo + residual) and runs the SwiGLU MLP (+ residual), row-wise like
+  // project_qkv. Consumes and returns the hidden state.
+  Matrix finish_rows(std::size_t layer, Matrix x, const Matrix& attn_out,
+                     int threads = 0) const;
+
   // In-place RoPE over the leading `head_count` heads of x, positions
   // starting at start_pos.
   void apply_rope(Matrix& x, std::size_t head_count,
                   std::size_t start_pos) const;
 
-  // Parameter bytes (FP32) — the per-instance memory a shared weight set
-  // amortizes across sessions.
+  // Parameter bytes as stored (FP32, panel padding included) — the
+  // per-instance memory a shared weight set amortizes across sessions.
   std::size_t weight_bytes() const;
 
  private:
@@ -193,8 +226,9 @@ int argmax_logits(std::span<const float> logits);
 //
 // Stepping contract: a chunk of `n` rows starting at position() is run
 // through layers 0..L-1 (forward_layer, or the split
-// project_and_append / attend / finish_layer), then advance(n) commits the
-// chunk. All layers of one chunk see the same start position.
+// project_and_append / attend / finish_layer, or the row-wise
+// project_qkv / append_rows / attend / finish_rows), then advance(n)
+// commits the chunk. All layers of one chunk see the same start position.
 class TinyModelSession {
  public:
   TinyModelSession(std::shared_ptr<const TinyModelWeights> weights,
@@ -209,14 +243,19 @@ class TinyModelSession {
   std::size_t layers() const { return backends_.size(); }
   LayerBackend& backend(std::size_t layer) { return *backends_[layer]; }
 
+  // Phase A's per-session side: RoPE over this session's Q/K rows at
+  // positions start_pos (== position()) onward, then the K/V append to the
+  // layer's backend. Returns the rotated Q slab ([n, heads * d_head]).
+  Matrix append_rows(std::size_t layer, TinyModelWeights::QkvRows qkv,
+                     std::size_t start_pos);
+
   // Phase A of one layer over hidden rows x ([n, d_model]) at start_pos
-  // (== position()): pre-norm, Q/K/V projections, RoPE, KV append. Returns
-  // the rotated Q slab ([n, heads * d_head]); x is untouched.
+  // (== position()): project_qkv, then append_rows. Returns the rotated Q
+  // slab; x is untouched.
   Matrix project_and_append(std::size_t layer, const Matrix& x,
                             std::size_t start_pos);
 
-  // Phase B: folds the attention output back into x (Wo + residual) and
-  // runs the SwiGLU MLP (+ residual). Consumes and returns the hidden state.
+  // Phase B: TinyModelWeights::finish_rows over this session's rows.
   Matrix finish_layer(std::size_t layer, Matrix x,
                       const Matrix& attn_out) const;
 

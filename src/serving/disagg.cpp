@@ -508,18 +508,18 @@ DisaggReport DisaggEngine::run(std::vector<ServingRequest> requests) {
     std::vector<DecodeCheckpoint> cut;
     CheckpointSink sink;
     if (config_.checkpoint_every_tokens > 0) {
-      sink = [&cut](DecodeCheckpoint c) {
-        cut.push_back(std::move(c));
+      sink = [&cut](DecodeCheckpoint ckpt) {
+        cut.push_back(std::move(ckpt));
         return true;  // the single-pair engine never drains
       };
     }
     const auto book_checkpoints = [&] {
-      for (DecodeCheckpoint& c : cut) {
+      for (DecodeCheckpoint& ckpt : cut) {
         ++rec.checkpoints;
-        rec.checkpoint_bytes += c.delta.size();
+        rec.checkpoint_bytes += ckpt.delta.size();
         bool stored = false;
         while (!stored) {
-          std::vector<std::uint8_t> wire = c.delta;
+          std::vector<std::uint8_t> wire = ckpt.delta;
           bool first = true;
           if (!deliver_blob(wire, decode_.nic(), prefill_.nic(), first)) break;
           try {
@@ -538,7 +538,7 @@ DisaggReport DisaggEngine::run(std::vector<ServingRequest> requests) {
             continue;
           }
           stored_delta = std::move(wire);
-          stored_tokens = c.tokens_decoded;
+          stored_tokens = ckpt.tokens_decoded;
           stored = true;
         }
         // Budget exhausted before the delta landed: the store keeps the

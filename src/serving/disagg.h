@@ -151,8 +151,8 @@ struct WorkerCrash : public std::runtime_error {
 // may have left the worker — the engine resumes from base + latest delta on
 // a replica instead of recomputing from the blob.
 struct MidDecodeCrash : public WorkerCrash {
-  MidDecodeCrash(const std::string& what, std::size_t tokens_decoded)
-      : WorkerCrash(what), tokens_decoded(tokens_decoded) {}
+  MidDecodeCrash(const std::string& what, std::size_t decoded)
+      : WorkerCrash(what), tokens_decoded(decoded) {}
   std::size_t tokens_decoded = 0;
 };
 

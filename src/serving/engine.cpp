@@ -8,6 +8,7 @@
 #include "attention/layer_attention.h"
 #include "base/thread_pool.h"
 #include "kvcache/kv_wire.h"
+#include "tensor/ops.h"
 
 namespace hack {
 namespace {
@@ -171,13 +172,13 @@ void ServingEngine::execute_step(const StepPlan& plan) {
     bool completes_prefill = false;
     bool emits = false;  // computes logits + greedy token for its last row
     std::size_t start_pos = 0, rows = 0;
-    Matrix x;
+    std::size_t row_begin = 0;  // first row of this lane in the stacked block
     int token = -1;
   };
 
   // Decode lanes first; the (at most one) prefill lane last, so the phase
-  // runner can execute it inline on the caller where its big row-parallel
-  // matmuls can use the whole pool instead of being nested into one lane.
+  // runner can execute it inline on the caller where its big KV append can
+  // use the whole pool instead of being nested into one lane.
   std::vector<Lane> lanes;
   lanes.reserve(plan.decode.size() + 1);
   for (const std::size_t idx : plan.decode) {
@@ -212,25 +213,36 @@ void ServingEngine::execute_step(const StepPlan& plan) {
     if (has_prefill) fn(n_lanes - 1);
   };
 
-  // --- Embed inputs.
-  run_lanes([&](std::size_t i) {
-    Lane& lane = lanes[i];
+  // --- Embed every lane's input rows into one stacked block, in lane
+  // order: lane i owns rows [row_begin, row_begin + rows).
+  std::vector<int> tokens;
+  for (Lane& lane : lanes) {
     RunningSeq& seq = *running_[lane.run_idx];
     lane.start_pos = seq.session->position();
+    lane.row_begin = tokens.size();
     if (lane.is_prefill) {
       HACK_CHECK(lane.chunk_begin == lane.start_pos,
                  "prefill chunk out of order");
       const auto& prompt = records_[seq.record].request.prompt;
-      lane.x = weights_->embed(
-          {prompt.begin() + static_cast<std::ptrdiff_t>(lane.chunk_begin),
-           prompt.begin() + static_cast<std::ptrdiff_t>(lane.chunk_end)});
+      tokens.insert(
+          tokens.end(),
+          prompt.begin() + static_cast<std::ptrdiff_t>(lane.chunk_begin),
+          prompt.begin() + static_cast<std::ptrdiff_t>(lane.chunk_end));
     } else {
-      lane.x = weights_->embed({seq.last_token});
+      tokens.push_back(seq.last_token);
     }
-  });
+  }
+  Matrix x = weights_->embed(tokens);
+  const auto lane_rows = [&](const Matrix& stacked, std::size_t i) {
+    return take_rows(stacked, lanes[i].row_begin,
+                     lanes[i].row_begin + lanes[i].rows);
+  };
 
-  // --- Layer loop: per-sequence phase A, one fused (or per-sequence)
-  // attention launch, per-sequence phase B.
+  // --- Layer loop: one Q/K/V GEMM per projection over the stacked block,
+  // per-sequence RoPE + KV append, one fused (or per-sequence) attention
+  // launch, then one Wo/SwiGLU pass over the stacked attention outputs.
+  // Every dense row is computed on its own, so stacking is bit-identical
+  // to running each lane alone.
   const std::size_t n_layers = weights_->config().layers;
   const bool fused = config_.fused_attention && n_layers > 0 &&
                      running_[lanes[0].run_idx]
@@ -238,11 +250,20 @@ void ServingEngine::execute_step(const StepPlan& plan) {
                              .hack_state() != nullptr;
   std::vector<Matrix> q(n_lanes), attn(n_lanes);
   std::vector<AttentionOptions> attn_opts(n_lanes);
+  Matrix attn_all(tokens.size(), x.cols());
   for (std::size_t layer = 0; layer < n_layers; ++layer) {
-    run_lanes([&](std::size_t i) {
-      q[i] = running_[lanes[i].run_idx]->session->project_and_append(
-          layer, lanes[i].x, lanes[i].start_pos);
-    });
+    {
+      // The stacked Q/K/V die with this scope; each lane keeps its own
+      // rotated Q rows for the attend.
+      const TinyModelWeights::QkvRows qkv =
+          weights_->project_qkv(layer, x, threads);
+      run_lanes([&](std::size_t i) {
+        q[i] = running_[lanes[i].run_idx]->session->append_rows(
+            layer, {lane_rows(qkv.q, i), lane_rows(qkv.k, i),
+                    lane_rows(qkv.v, i)},
+            lanes[i].start_pos);
+      });
+    }
     if (fused) {
       MultiAttendBatch batch;
       for (std::size_t i = 0; i < n_lanes; ++i) {
@@ -260,10 +281,17 @@ void ServingEngine::execute_step(const StepPlan& plan) {
             q[i], lanes[i].start_pos);
       });
     }
-    run_lanes([&](std::size_t i) {
-      lanes[i].x = running_[lanes[i].run_idx]->session->finish_layer(
-          layer, std::move(lanes[i].x), attn[i]);
-    });
+    // Gather the attention outputs into the stacked block, freeing each
+    // lane's Q and output as it goes so the step holds one copy.
+    for (std::size_t i = 0; i < n_lanes; ++i) {
+      std::copy(attn[i].flat().begin(), attn[i].flat().end(),
+                attn_all.flat().begin() + static_cast<std::ptrdiff_t>(
+                                              lanes[i].row_begin *
+                                              attn_all.cols()));
+      attn[i] = Matrix();
+      q[i] = Matrix();
+    }
+    x = weights_->finish_rows(layer, std::move(x), attn_all, threads);
   }
 
   // --- Commit positions, then one batched LM-head launch for every
@@ -283,7 +311,7 @@ void ServingEngine::execute_step(const StepPlan& plan) {
     Matrix hidden(emit_idx.size(), weights_->config().d_model());
     for (std::size_t m = 0; m < emit_idx.size(); ++m) {
       const Lane& lane = lanes[emit_idx[m]];
-      const auto row = lane.x.row(lane.rows - 1);
+      const auto row = x.row(lane.row_begin + lane.rows - 1);
       std::copy(row.begin(), row.end(), hidden.row(m).begin());
     }
     const Matrix logits = weights_->logits_batch(hidden, threads);

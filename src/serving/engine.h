@@ -7,26 +7,27 @@
 // identical to a solo run. Each engine step executes the scheduler's plan
 // (serving/scheduler.h) layer by layer across all scheduled sequences:
 //
-//   step:  embed inputs per sequence
+//   step:  embed every sequence's input rows into one stacked block
 //          for each layer:
-//            phase A  per-sequence norm/QKV/RoPE/KV-append   (pool tasks)
+//            Q/K/V    norm + one GEMM per projection over the block
+//            append   per-sequence RoPE + KV append          (pool tasks)
 //            attend   all sequences' heads in ONE batched launch
 //                     (MultiAttendBatch) when the backends are batched HACK
 //                     layers; per-sequence attends otherwise (pool tasks)
-//            phase B  per-sequence Wo/residual/SwiGLU        (pool tasks)
+//            Wo/MLP   Wo + residual + SwiGLU over the stacked block
 //          logits + greedy argmax for emitting sequences, bookkeeping
 //
-// The fused attend is where continuous batching feeds the thread pool: at
-// decode shapes each sequence alone offers query_heads single-row work
-// items, and a batch of N sequences turns the per-layer dispatch into
-// N × query_heads items — multiple sequences' (head × q-band) tiles in one
-// pool launch, instead of N engine calls back to back. Phase A/B tasks give
-// the same cross-sequence parallelism to the dense projections, whose
-// single-row GEMVs cannot split row-wise.
+// The dense GEMMs run on packed weight panels (tensor/packed_matrix.h):
+// stacking N decode rows reads each weight panel once per 8 rows instead of
+// once per sequence, and large products split their panels over the pool.
+// The fused attend does the same for attention: a batch of N sequences
+// turns the per-layer dispatch into N × query_heads (head × q-band) items
+// in one pool launch, instead of N engine calls back to back.
 //
 // Determinism contract (verified in tests/test_serving_engine.cpp, details
 // in docs/serving.md): every per-task computation in the batched attention
-// engine and every per-sequence phase touches only that sequence's state, so
+// engine and every per-sequence phase touches only that sequence's state,
+// and every stacked dense row is computed from its own input row alone, so
 // a request's tokens do not depend on what it was batched with, the thread
 // count, or the engine's admission timing. With whole-prompt prefill
 // (prefill_chunk_tokens >= prompt) tokens are bit-identical to a solo

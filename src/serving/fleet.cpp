@@ -571,18 +571,18 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
     bool drain_now = false;
     CheckpointSink sink;
     if (config_.worker.checkpoint_every_tokens > 0) {
-      sink = [&cut, &drain_now](DecodeCheckpoint c) {
-        cut.push_back(std::move(c));
+      sink = [&cut, &drain_now](DecodeCheckpoint ckpt) {
+        cut.push_back(std::move(ckpt));
         return !drain_now;
       };
     }
     const auto book_checkpoints = [&](std::size_t j) {
-      for (DecodeCheckpoint& c : cut) {
+      for (DecodeCheckpoint& ckpt : cut) {
         ++rec.d.checkpoints;
-        rec.d.checkpoint_bytes += c.delta.size();
+        rec.d.checkpoint_bytes += ckpt.delta.size();
         bool stored = false;
         while (!stored) {
-          std::vector<std::uint8_t> dwire = c.delta;
+          std::vector<std::uint8_t> dwire = ckpt.delta;
           bool first = true;
           if (!deliver_blob(dwire, decode_[j]->nic(), prefill_[pworker]->nic(),
                             link(pworker, j), decode_book_[j], first)) {
@@ -607,7 +607,7 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
             continue;
           }
           stored_delta = std::move(dwire);
-          stored_tokens = c.tokens_decoded;
+          stored_tokens = ckpt.tokens_decoded;
           stored = true;
         }
         // Budget exhausted before the delta landed: the store keeps the

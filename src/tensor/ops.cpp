@@ -8,13 +8,6 @@
 namespace hack {
 namespace {
 
-// MAC count above which a dense matmul fans its output rows out over the
-// shared pool. Every output row is computed by the same serial inner code
-// whatever the row partitioning, so the threaded result is bit-identical to
-// the serial one; below the threshold the dispatch overhead dominates (and
-// single-row products — the decode path — never split).
-inline constexpr std::size_t kParallelMatmulMinMacs = std::size_t{1} << 21;
-
 // Runs fn(i) for every output row, pool-parallel when the product is large
 // enough. Nested calls (e.g. from a per-sequence serving-engine task) run
 // inline on the caller via the pool's re-entrancy guard.

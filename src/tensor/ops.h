@@ -5,6 +5,13 @@
 
 namespace hack {
 
+// MAC count above which a dense matmul fans its output rows (or, for a
+// packed B, its column panels) out over the shared pool. Every output
+// element is computed by the same serial inner code whatever the
+// partitioning, so the threaded result is bit-identical to the serial one;
+// below the threshold the dispatch overhead dominates.
+inline constexpr std::size_t kParallelMatmulMinMacs = std::size_t{1} << 21;
+
 // C = A * B. A is MxZ, B is ZxN. Large products (>= ~2M MACs, M >= 2) fan
 // their output rows out over the shared ThreadPool; each row runs the same
 // serial inner loop, so results are bit-identical to the serial path for any

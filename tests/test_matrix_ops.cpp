@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
+#include "tensor/packed_matrix.h"
 
 namespace hack {
 namespace {
@@ -167,6 +171,133 @@ TEST(Matrix, RoundToFp16AppliesPrecisionFilter) {
   m.round_to_fp16();
   EXPECT_EQ(m(0, 0), 1.0f);
   EXPECT_NEAR(m(0, 1), 3.140625f, 1e-6f);  // nearest binary16 to pi
+}
+
+// ------------------------------------------------------------ packed GEMM
+
+// memcmp, not ==: the packed kernel must reproduce every bit of matmul,
+// including the sign of zeros.
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+// A with exact zeros matmul's `aik == 0` skip fires on: scattered +0/-0
+// entries, one whole zero row and one whole zero column.
+Matrix a_with_zeros(std::size_t m, std::size_t z, Rng& rng) {
+  Matrix a = Matrix::random_uniform(m, z, rng);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t k = 0; k < z; ++k) {
+      if ((i * 7 + k * 3) % 5 == 0) a(i, k) = (k % 2 == 0) ? 0.0f : -0.0f;
+    }
+  }
+  if (m > 2) {
+    for (std::size_t k = 0; k < z; ++k) a(m / 2, k) = 0.0f;
+  }
+  for (std::size_t i = 0; i < m; ++i) a(i, z / 2) = 0.0f;
+  return a;
+}
+
+// Runs the packed kernel on both dispatch arms (AVX2 where the CPU has it,
+// and the forced portable arm), restoring auto-dispatch afterwards.
+template <typename Fn>
+void for_each_arm(Fn&& fn) {
+  for (const bool portable : {false, true}) {
+    packed_matmul_force_portable(portable);
+    fn(portable);
+  }
+  packed_matmul_force_portable(false);
+}
+
+TEST(PackedMatmul, BitIdenticalToMatmulAcrossShapes) {
+  Rng rng(2024);
+  const std::vector<std::size_t> ms = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 128};
+  for (const std::size_t z : {1u, 37u, 129u}) {
+    for (const std::size_t n : {1u, 7u, 13u, 100u, 256u}) {
+      const Matrix b = Matrix::random_gaussian(z, n, rng);
+      const PackedMatrix packed(b);
+      for (const std::size_t m : ms) {
+        const Matrix a = a_with_zeros(m, z, rng);
+        const Matrix want = matmul(a, b);
+        for_each_arm([&](bool portable) {
+          EXPECT_TRUE(bitwise_equal(matmul(a, packed), want))
+              << "m " << m << " z " << z << " n " << n << " portable "
+              << portable;
+        });
+      }
+    }
+  }
+}
+
+// Above the parallel threshold the panels split over the pool; the result
+// must not depend on the partition.
+TEST(PackedMatmul, BitIdenticalForAnyPoolPartition) {
+  Rng rng(77);
+  const std::size_t z = 1023, n = 300;
+  const Matrix b = Matrix::random_gaussian(z, n, rng);
+  const PackedMatrix packed(b);
+  for (const std::size_t m : {8u, 17u, 128u}) {
+    ASSERT_GE(m * z * n, kParallelMatmulMinMacs);
+    const Matrix a = a_with_zeros(m, z, rng);
+    const Matrix want = matmul(a, b);
+    for_each_arm([&](bool portable) {
+      for (const int lanes : {1, 2, 4}) {
+        EXPECT_TRUE(bitwise_equal(matmul(a, packed, lanes), want))
+            << "m " << m << " lanes " << lanes << " portable " << portable;
+      }
+    });
+  }
+}
+
+TEST(PackedMatmul, KeepsShapeAndPadsNothingIntoC) {
+  const Matrix b = Matrix::from_rows(2, 3, {7, 8, 9, 10, 11, 12});
+  const PackedMatrix packed(b);
+  EXPECT_EQ(packed.rows(), 2u);
+  EXPECT_EQ(packed.cols(), 3u);
+  EXPECT_EQ(packed.panels(), 1u);
+  EXPECT_EQ(packed.stored_size(), 2u * PackedMatrix::kPanelCols);
+  const Matrix a = Matrix::from_rows(2, 2, {1, 2, 3, 4});
+  const Matrix c = matmul(a, packed);
+  ASSERT_EQ(c.rows(), 2u);
+  ASSERT_EQ(c.cols(), 3u);
+  EXPECT_EQ(c(0, 0), 27.0f);
+  EXPECT_EQ(c(1, 2), 75.0f);
+}
+
+TEST(PackedMatmul, ShapeMismatchThrows) {
+  const PackedMatrix packed(Matrix(3, 4));
+  EXPECT_THROW(matmul(Matrix(2, 2), packed), CheckError);
+}
+
+// Packing row by row as rows are drawn (how the model builds its weights)
+// gives the same matrix as packing the whole row-major draw.
+TEST(PackedMatrix, RowByRowPackingMatchesWholeMatrix) {
+  Rng whole_rng(31), row_rng(31);
+  const Matrix b = Matrix::random_gaussian(13, 21, whole_rng);
+  PackedMatrix by_row(13, 21);
+  for (std::size_t k = 0; k < 13; ++k) {
+    by_row.set_row(k, Matrix::random_gaussian(1, 21, row_rng).row(0));
+  }
+  Rng a_rng(32);
+  const Matrix a = Matrix::random_uniform(5, 13, a_rng);
+  EXPECT_TRUE(bitwise_equal(matmul(a, by_row), matmul(a, PackedMatrix(b))));
+  EXPECT_THROW(by_row.set_row(13, b.row(0)), CheckError);
+  EXPECT_THROW(by_row.set_row(0, std::vector<float>(20, 1.0f)), CheckError);
+}
+
+// Finite weights are the precondition of dropping matmul's zero skip
+// (0 * inf is NaN), so packing rejects anything else.
+TEST(PackedMatrix, RejectsNonFiniteWeights) {
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    Matrix b(4, 9, 0.5f);
+    b(3, 8) = bad;
+    EXPECT_THROW(PackedMatrix{b}, CheckError) << bad;
+    PackedMatrix rows(4, 9);
+    EXPECT_THROW(rows.set_row(3, b.row(3)), CheckError) << bad;
+  }
 }
 
 }  // namespace

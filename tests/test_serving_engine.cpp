@@ -13,7 +13,9 @@
 //     bit-identical to generate() for every chunk size.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "model/tiny_transformer.h"
 #include "serving/engine.h"
 #include "serving/scheduler.h"
+#include "tensor/ops.h"
 #include "workload/corpus.h"
 
 namespace hack {
@@ -291,6 +294,120 @@ TEST(ServingEngine, ChunkedSchedulingInvariantUnderStochasticRounding) {
     const auto together = run_engine(weights, maker, reqs, batched);
     const auto sequential = run_engine(weights, maker, reqs, alone);
     EXPECT_EQ(together, sequential) << name;
+  }
+}
+
+// ------------------------------------------------- stacked dense rows
+
+bool rows_bitwise_equal(const Matrix& a, std::size_t a_row, const Matrix& b,
+                        std::size_t b_row, std::size_t count) {
+  return a.cols() == b.cols() && a_row + count <= a.rows() &&
+         b_row + count <= b.rows() &&
+         std::memcmp(a.flat().data() + a_row * a.cols(),
+                     b.flat().data() + b_row * b.cols(),
+                     count * a.cols() * sizeof(float)) == 0;
+}
+
+// The engine's layer step, driven through the public row-wise API: the rows
+// of several sessions — decode lanes at different positions plus one
+// prefill chunk — share one project_qkv and one finish_rows per layer, and
+// each session RoPEs and appends its own rows. Every hidden row, and the KV
+// state the step leaves behind, must equal each session's solo
+// forward_rows bit for bit.
+TEST(StackedLayer, MatchesPerLaneBitwiseOverGqaShapes) {
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {4, 2}, {8, 2}, {4, 4}, {4, 1}};
+  for (const auto& [heads, kv_heads] : shapes) {
+    const TinyConfig cfg = small_config(heads, kv_heads);
+    const auto weights = make_tiny_weights(cfg);
+    const FactoryMaker maker = [] {
+      return make_hack_layer_backend(hack_config(), 7);
+    };
+    // Prefixes already in each lane's KV; the last lane is a prefill chunk.
+    const std::vector<std::size_t> history = {5, 12, 20, 8};
+    const std::vector<std::size_t> step_rows = {1, 1, 1, 6};
+    std::vector<std::unique_ptr<TinyModelSession>> solo, stacked;
+    std::vector<std::vector<int>> step_tokens;
+    std::vector<int> all_tokens;
+    for (std::size_t i = 0; i < history.size(); ++i) {
+      const auto prompt =
+          make_prompt(history[i] + step_rows[i], cfg.vocab, 300 + i);
+      const std::vector<int> prefix(prompt.begin(),
+                                    prompt.begin() + history[i]);
+      step_tokens.emplace_back(prompt.begin() + history[i], prompt.end());
+      all_tokens.insert(all_tokens.end(), step_tokens[i].begin(),
+                        step_tokens[i].end());
+      for (auto* set : {&solo, &stacked}) {
+        set->push_back(std::make_unique<TinyModelSession>(weights, maker()));
+        set->back()->forward_rows(prefix);
+      }
+    }
+
+    Matrix x = weights->embed(all_tokens);
+    for (std::size_t layer = 0; layer < cfg.layers; ++layer) {
+      const TinyModelWeights::QkvRows qkv = weights->project_qkv(layer, x);
+      Matrix attn_all(x.rows(), x.cols());
+      std::size_t row = 0;
+      for (std::size_t i = 0; i < stacked.size(); ++i) {
+        const std::size_t end = row + step_rows[i];
+        TinyModelSession& s = *stacked[i];
+        const Matrix q = s.append_rows(
+            layer,
+            {take_rows(qkv.q, row, end), take_rows(qkv.k, row, end),
+             take_rows(qkv.v, row, end)},
+            history[i]);
+        const Matrix attn = s.backend(layer).attend(q, history[i]);
+        std::copy(attn.flat().begin(), attn.flat().end(),
+                  attn_all.flat().begin() +
+                      static_cast<std::ptrdiff_t>(row * attn_all.cols()));
+        row = end;
+      }
+      x = weights->finish_rows(layer, std::move(x), attn_all);
+    }
+
+    std::size_t row = 0;
+    for (std::size_t i = 0; i < stacked.size(); ++i) {
+      stacked[i]->advance(step_rows[i]);
+      const Matrix want = solo[i]->forward_rows(step_tokens[i]);
+      EXPECT_TRUE(rows_bitwise_equal(x, row, want, 0, step_rows[i]))
+          << "heads " << heads << "/" << kv_heads << " lane " << i;
+      row += step_rows[i];
+      // The appended K/V must match too: one more solo step on each side.
+      const Matrix next_stacked = stacked[i]->forward_rows({3});
+      const Matrix next_solo = solo[i]->forward_rows({3});
+      EXPECT_TRUE(rows_bitwise_equal(next_stacked, 0, next_solo, 0, 1))
+          << "heads " << heads << "/" << kv_heads << " lane " << i;
+    }
+  }
+}
+
+// The same property end to end: with 5-token chunks and four slots, steps
+// mix a prefill chunk with decode lanes at different positions, and every
+// request still decodes the tokens of its solo run of the same chunk
+// schedule, over GQA shapes.
+TEST(ServingEngine, MixedStackedStepsMatchSoloAcrossGqaShapes) {
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {8, 2}, {4, 4}, {4, 1}};
+  for (const auto& [heads, kv_heads] : shapes) {
+    const TinyConfig cfg = small_config(heads, kv_heads);
+    const auto weights = make_tiny_weights(cfg);
+    const FactoryMaker maker = [] {
+      return make_hack_layer_backend(hack_config(), 7);
+    };
+    const auto reqs = make_requests(
+        {{23, 8}, {4, 9}, {17, 6}, {31, 7}, {12, 5}}, cfg.vocab);
+    ServingEngineConfig batched, alone;
+    batched.scheduler.prefill_chunk_tokens = 5;
+    batched.scheduler.max_active = 4;
+    alone.scheduler.prefill_chunk_tokens = 5;
+    alone.scheduler.max_active = 1;
+    ServingReport report;
+    const auto together =
+        run_engine(weights, maker, reqs, batched, nullptr, &report);
+    EXPECT_EQ(together, run_engine(weights, maker, reqs, alone))
+        << "heads " << heads << "/" << kv_heads;
+    // Non-vacuous: some decode steps also carried a prefill chunk.
+    EXPECT_GT(report.decode_time_s, report.pure_decode_time_s);
   }
 }
 
