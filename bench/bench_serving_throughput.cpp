@@ -62,12 +62,13 @@
 //    "prefetch_overlap_ratio":...,"prefetch_overlap_ge_half":true,
 //    "bit_identical":true}
 //
-// `--disagg` runs the disaggregated prefill→decode split (serving/disagg.h)
-// instead, once per KV bit-width {2,4,8}: every request prefills on one
-// worker, ships its serialized KV wire blob (kvcache/kv_wire.h) over the
-// netsim NCCL-style link, and decodes on the other — with the decode tokens
-// checked bit-for-bit against a solo single-node run. One JSON line per
-// bit-width with the measured wire bytes by section and the handoff timing:
+// `--disagg` runs the single prefill→decode pair (a 1×1 fleet,
+// serving/fleet.h) instead, once per KV bit-width {2,4,8}: every request
+// prefills on one worker, ships its serialized KV wire blob
+// (kvcache/kv_wire.h) over the netsim NCCL-style link, and decodes on the
+// other — with the decode tokens checked bit-for-bit against a solo
+// single-node run. One JSON line per bit-width with the measured wire bytes
+// by section and the handoff timing:
 //
 //   {"bench":"serving_disagg","kv_bits":2,"requests":4,...,
 //    "wire_bytes_total":...,"fp16_kv_bytes_total":...,"wire_vs_fp16":...,
@@ -76,7 +77,7 @@
 //    "retries":...,"chunks_dropped":...,"chunks_corrupted":...,
 //    "crc_failures":...,"retransmitted_bytes":...,"fallbacks":...,
 //    "deadline_misses":...,"failed_allocations":...,"min_free_watermark":...,
-//    "oom_appends":...,"bit_identical":true}
+//    "bit_identical":true}
 //
 // `--drop=`/`--corrupt=` inject that probability of chunk loss/corruption on
 // the disagg transfer path (seeded by `--fault-seed=`, so a chaos leg is
@@ -805,8 +806,16 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
     dc.transfer_faults.chunk_drop_prob = o.drop;
     dc.transfer_faults.chunk_corrupt_prob = o.corrupt;
     dc.transfer_faults.seed = o.fault_seed;
-    DisaggEngine engine(weights, dc);
-    const DisaggReport report = engine.run(requests);
+    // The single pair is a 1×1 fleet whose health policy never demotes the
+    // only worker for transfer failures and restarts a crashed one at once,
+    // so every failure costs exactly one retry round.
+    FleetConfig fc;
+    fc.worker = dc;
+    fc.health.down_after = SIZE_MAX;
+    fc.health.down_cooldown_s = 0.0;
+    FleetEngine engine(weights, fc);
+    const FleetReport report = engine.run(requests);
+    const FleetWorkerStats& decode_pool = report.decode_workers[0];
 
     // The property the wire exists for: every admitted request's decode-side
     // tokens equal its solo single-node run. Requests the decode pool
@@ -818,7 +827,8 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
     KvWireSections sections;
     double prefill_s = 0.0, serialize_s = 0.0, transfer_s = 0.0,
            deserialize_s = 0.0, decode_s = 0.0;
-    for (const DisaggRecord& rec : report.requests) {
+    for (const FleetRecord& fleet_rec : report.requests) {
+      const DisaggRecord& rec = fleet_rec.d;
       if (rec.rejected) {
         ++rejected;
         continue;
@@ -844,6 +854,11 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
     const double n =
         std::max<double>(1.0, static_cast<double>(report.requests.size() -
                                                   rejected));
+    const double wire_vs_fp16 =
+        report.fp16_kv_bytes_total == 0
+            ? 0.0
+            : static_cast<double>(report.wire_bytes_total) /
+                  static_cast<double>(report.fp16_kv_bytes_total);
     std::printf(
         "{\"bench\":\"serving_disagg\",\"kv_bits\":%d,\"requests\":%zu,"
         "\"heads\":%zu,\"kv_heads\":%zu,\"d_head\":%zu,\"pi\":%zu,"
@@ -861,12 +876,11 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
         "\"crc_failures\":%zu,\"retransmitted_bytes\":%zu,"
         "\"prefill_crashes\":%zu,\"decode_crashes\":%zu,\"fallbacks\":%zu,"
         "\"deadline_misses\":%zu,\"failed_allocations\":%zu,"
-        "\"min_free_watermark\":%zu,\"oom_appends\":%zu,"
-        "\"bit_identical\":%s}\n",
+        "\"min_free_watermark\":%zu,\"bit_identical\":%s}\n",
         kv_bits, o.requests, shape.heads, shape.kv_heads, shape.d_head,
         shape.pi, o.layers, o.input, o.output,
         ThreadPool::global().lanes(), report.wire_bytes_total,
-        report.fp16_kv_bytes_total, report.wire_vs_fp16,
+        report.fp16_kv_bytes_total, wire_vs_fp16,
         sections.packed_codes, sections.metadata, sections.sums,
         sections.fp16_tail, prefill_s / n, serialize_s / n,
         1000.0 * transfer_s / n, deserialize_s / n, decode_s / n,
@@ -877,8 +891,8 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
         report.crc_failures_total, report.retransmitted_bytes_total,
         report.prefill_crashes_total, report.decode_crashes_total,
         report.fallbacks, report.deadline_misses,
-        report.decode_failed_allocations, report.decode_min_free_watermark,
-        report.decode_oom_appends, bit_identical ? "true" : "false");
+        decode_pool.failed_allocations, decode_pool.min_free_watermark,
+        bit_identical ? "true" : "false");
     std::fflush(stdout);
   }
 }

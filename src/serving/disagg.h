@@ -1,46 +1,32 @@
-// Disaggregated prefill → decode serving over the HACK KV wire format.
+// Disaggregated prefill → decode workers over the HACK KV wire format.
 //
 // The paper's headline deployment (§2, §6, §7) runs prefill and decode on
 // separate workers and ships the *quantized* KV cache between them. This
-// module is that path for the real engine, not the analytical simulator:
+// module holds the two halves of that path for the real engine, not the
+// analytical simulator:
 //
 //   PrefillWorker   runs (optionally chunked) prefill through a
 //                   TinyModelSession, emits the first token, and serializes
 //                   the per-layer HACK KV state into a KV wire blob
 //                   (kvcache/kv_wire.h) — every byte measured, not modeled.
-//   DecodeWorker    reserves KV blocks from its own BlockAllocator pool (the
-//                   same substrate PagedKvCache rides), rehydrates the blob
-//                   into a fresh session, and decodes to completion. The
-//                   codes on the wire are the codes attention consumes —
-//                   nothing is dequantized or requantized in the handoff, so
-//                   generation is bit-identical to the single-node engine
-//                   (pinned in tests/test_kv_wire.cpp).
-//   DisaggEngine    orchestrates both workers on one timeline: compute is
-//                   measured wall-clock, the transfer is the netsim
-//                   NCCL-style pipelined model (netsim/transfer.h) over each
-//                   worker's NIC — bytes real, timing simulated — and the
-//                   prefill worker starts the next request's prompt while
-//                   the previous blob is still in flight (transfer overlap,
-//                   the NIC busy horizons serialize contending transfers).
+//   DecodeWorker    reserves KV blocks from its own BlockAllocator pool,
+//                   rehydrates the blob into a fresh session, and decodes to
+//                   completion. The codes on the wire are the codes
+//                   attention consumes — nothing is dequantized or
+//                   requantized in the handoff, so generation is
+//                   bit-identical to the single-node engine (pinned in
+//                   tests/test_kv_wire.cpp).
 //
-// The engine is fault-tolerant: a seeded FaultModel (netsim/fault.h) can
-// drop, corrupt, or delay transfer chunks and crash either worker at a
-// scripted request index, and a RetryPolicy drives the recovery —
-// chunk-level retransmit on drop, full-blob retransmit on a wire CRC
-// failure (KvWireError) or a decode-worker crash, re-prefill on a
-// prefill-worker crash, exponential backoff with Rng jitter between rounds,
-// and a per-request transfer deadline. When retries exhaust, the deadline
-// passes, or the decode pool rejects admission, the request degrades
-// gracefully to a *local* decode on the prefill worker instead of being
-// dropped — still bit-identical, since the fallback rehydrates the same
-// blob the wire would have carried. tests/test_disagg_faults.cpp pins the
-// contract: under any injected schedule that doesn't exhaust retries, every
-// request completes bit-identical to the fault-free run and the report's
-// fault counters equal the FaultModel's injection ledger exactly.
-//
-// TTFT here charges what single-node serving never shows: the first token is
-// counted as delivered only when the KV blob has landed and rehydrated on the
-// decode worker. docs/disaggregation.md walks the format and the contract.
+// The engine that drives them is FleetEngine (serving/fleet.h); the
+// single-pair deployment is a 1×1 fleet. It times compute as measured
+// wall-clock and the transfer with the netsim NCCL-style pipelined model
+// over each worker's NIC, and recovers from a seeded FaultModel's drops,
+// corruptions and scripted worker crashes under the RetryPolicy below. When
+// recovery gives out, the request degrades to a *local* decode on the
+// prefill worker — still bit-identical, since the fallback rehydrates the
+// same blob the wire would have carried. tests/test_disagg_faults.cpp pins
+// the single-pair contract; docs/disaggregation.md walks the format, the
+// timeline and the recovery ladder.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +40,6 @@
 #include "base/rng.h"
 #include "kvcache/block_allocator.h"
 #include "kvcache/kv_wire.h"
-#include "kvcache/paged_cache.h"
-#include "metrics/stats.h"
 #include "model/session.h"
 #include "netsim/fault.h"
 #include "netsim/link.h"
@@ -89,9 +73,7 @@ struct RetryPolicy {
 
 // The per-request backoff-jitter stream: jitter_seed mixed with the request's
 // arrival-order index through the splitmix64 finalizer (index 0 keeps the
-// bare seed, so single-request episodes replay PR 6 streams). Shared by
-// DisaggEngine and FleetEngine so a request's draws are identical wherever
-// it is served.
+// bare seed, so a single-request episode draws the bare seed's stream).
 Rng retry_jitter_rng(const RetryPolicy& policy, std::uint64_t request_index);
 
 struct DisaggConfig {
@@ -208,42 +190,6 @@ struct DisaggRecord {
   }
 };
 
-struct DisaggReport {
-  std::vector<DisaggRecord> requests;  // arrival order
-  std::size_t total_generated = 0;
-  std::size_t wire_bytes_total = 0;
-  std::size_t fp16_kv_bytes_total = 0;
-  double wire_vs_fp16 = 0.0;
-  double makespan_s = 0.0;
-  double transfer_s_total = 0.0;
-  SampleStats ttft_s;
-  SampleStats jct_s;
-
-  // Fault/recovery rollups (sums of the per-request counters).
-  std::size_t retries_total = 0;
-  std::size_t chunks_dropped_total = 0;
-  std::size_t chunks_corrupted_total = 0;
-  std::size_t crc_failures_total = 0;
-  std::size_t prefill_crashes_total = 0;
-  std::size_t decode_crashes_total = 0;
-  std::size_t retransmitted_bytes_total = 0;
-  std::size_t fallbacks = 0;
-  std::size_t deadline_misses = 0;
-  std::size_t checkpoints_total = 0;
-  std::size_t checkpoint_bytes_total = 0;
-  std::size_t checkpoint_failures_total = 0;
-  std::size_t resumes_total = 0;
-  std::size_t tokens_replayed_total = 0;
-  std::size_t tokens_recomputed_total = 0;
-
-  // Decode-side admission pressure, read off the worker's pool after the
-  // episode (and a PagedKvCache when one is observed): how close the pool
-  // came to exhaustion alongside the fault counters above.
-  std::size_t decode_failed_allocations = 0;
-  std::size_t decode_min_free_watermark = 0;
-  std::size_t decode_oom_appends = 0;
-};
-
 // The prefill half: prompt in, first token + wire blob out.
 class PrefillWorker {
  public:
@@ -352,15 +298,18 @@ class DecodeWorker {
   void inject_crash_at_token(std::size_t request_index,
                              std::size_t token_index);
 
-  // Registers a paged cache whose oom_appends should surface in the report's
-  // admission-pressure counters (not owned; may be null).
-  void observe_paged_cache(const PagedKvCache* cache) { observed_ = cache; }
-  const PagedKvCache* observed_paged_cache() const { return observed_; }
-
   Nic& nic() { return nic_; }
   const BlockAllocator* allocator() const { return allocator_.get(); }
 
  private:
+  // decode() and resume() share everything but the start state: a fresh
+  // decode starts at `first_token`; a resume (non-empty `delta_blob`) starts
+  // from the delta's replayed suffix.
+  Result run(std::span<const std::uint8_t> base_blob,
+             std::span<const std::uint8_t> delta_blob, int first_token,
+             const ServingRequest& request, std::size_t request_index,
+             const CheckpointSink& sink);
+
   std::shared_ptr<const TinyModelWeights> weights_;
   DisaggConfig config_;
   std::string name_;
@@ -368,47 +317,6 @@ class DecodeWorker {
   std::unique_ptr<BlockAllocator> allocator_;  // null: no admission control
   std::map<std::size_t, std::size_t> crashes_;
   std::map<std::size_t, std::size_t> mid_crashes_;  // index → token count
-  const PagedKvCache* observed_ = nullptr;
 };
-
-// Orchestrates the two workers over a request timeline with transfer overlap
-// and fault recovery.
-class DisaggEngine {
- public:
-  DisaggEngine(std::shared_ptr<const TinyModelWeights> weights,
-               DisaggConfig config = {});
-
-  PrefillWorker& prefill_worker() { return prefill_; }
-  DecodeWorker& decode_worker() { return decode_; }
-
-  // The transfer-path fault injector (seeded from config.transfer_faults).
-  // Tests script exact chunk fates here and assert the report's counters
-  // against fault_model().stats().
-  FaultModel& fault_model() { return faults_; }
-
-  // Serves every request FCFS on its arrival timeline and returns the
-  // episode's records + rollups. Compute times are measured on this machine;
-  // transfer times come from the netsim NIC model. Crash-plan request
-  // indices refer to positions in this run's arrival order.
-  DisaggReport run(std::vector<ServingRequest> requests);
-
-  // Single-request convenience. Worker busy horizons persist across calls,
-  // so back-to-back serves share one timeline like run() would.
-  DisaggRecord serve(const ServingRequest& request);
-
- private:
-  std::shared_ptr<const TinyModelWeights> weights_;
-  DisaggConfig config_;
-  PrefillWorker prefill_;
-  DecodeWorker decode_;
-  FaultModel faults_;
-  double prefill_free_s_ = 0.0;
-  double decode_free_s_ = 0.0;
-};
-
-// One backoff wait: base · mult^round · (1 + jitter · u) with u drawn from
-// the request's jitter stream (retry_jitter_rng). Shared by both engines.
-double retry_backoff_s(const RetryPolicy& policy, std::size_t round,
-                       Rng& jitter);
 
 }  // namespace hack

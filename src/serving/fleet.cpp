@@ -10,8 +10,8 @@
 namespace hack {
 namespace {
 
-// A contiguous byte span of the blob carried by one transfer chunk (the
-// same framing DisaggEngine uses — retransmissions address these ranges).
+// A contiguous byte span of the blob carried by one transfer chunk —
+// retransmissions address these ranges.
 struct ChunkRange {
   std::size_t off = 0;
   std::size_t len = 0;
@@ -29,6 +29,8 @@ std::vector<ChunkRange> chunk_ranges(std::size_t bytes, int chunks) {
   return ranges;
 }
 
+// Flips one deterministically chosen bit inside the chunk's byte range — the
+// transport-level realization of a FaultModel kCorrupted fate.
 void corrupt_range(std::vector<std::uint8_t>& wire, const ChunkRange& range,
                    std::uint64_t entropy) {
   if (range.len == 0) return;
@@ -36,6 +38,48 @@ void corrupt_range(std::vector<std::uint8_t>& wire, const ChunkRange& range,
       range.off + static_cast<std::size_t>(entropy % range.len);
   const unsigned bit = static_cast<unsigned>((entropy >> 32) % 8);
   wire[byte] ^= static_cast<std::uint8_t>(1u << bit);
+}
+
+// One backoff wait: base · mult^round · (1 + jitter · u) with u drawn from
+// the request's jitter stream (retry_jitter_rng).
+double retry_backoff_s(const RetryPolicy& policy, std::size_t round,
+                       Rng& jitter) {
+  double backoff = policy.backoff_base_s;
+  for (std::size_t i = 0; i < round; ++i) backoff *= policy.backoff_mult;
+  return backoff * (1.0 + policy.backoff_jitter * jitter.next_double());
+}
+
+// Sums one request's counters into the report. Every request passes here
+// once, whichever phase it ended in; `finish_at` is its last token's
+// timeline instant (unused when rejected).
+void rollup(const FleetRecord& rec, double finish_at, FleetReport& report) {
+  report.retries_total += rec.d.retries;
+  report.chunks_dropped_total += rec.d.chunks_dropped;
+  report.chunks_corrupted_total += rec.d.chunks_corrupted;
+  report.crc_failures_total += rec.d.crc_failures;
+  report.prefill_crashes_total += rec.d.prefill_crashes;
+  report.decode_crashes_total += rec.d.decode_crashes;
+  report.retransmitted_bytes_total += rec.d.retransmitted_bytes;
+  report.reroutes_total += rec.reroutes;
+  report.prefill_failovers_total += rec.prefill_failovers;
+  report.re_prefills_total += rec.re_prefills;
+  report.checkpoints_total += rec.d.checkpoints;
+  report.checkpoint_bytes_total += rec.d.checkpoint_bytes;
+  report.checkpoint_failures_total += rec.d.checkpoint_failures;
+  report.resumes_total += rec.d.resumes;
+  report.tokens_replayed_total += rec.d.tokens_replayed;
+  report.tokens_recomputed_total += rec.d.tokens_recomputed;
+  report.migrations_total += rec.migrations;
+  report.drain_events_total += rec.drains;
+  if (rec.shed) ++report.shed_total;
+  if (rec.d.deadline_missed) ++report.deadline_misses;
+  if (rec.d.rejected) ++report.rejected;
+  if (rec.d.fallback_local) ++report.fallbacks;
+  if (rec.d.rejected) return;
+  report.total_generated += rec.d.generated.size();
+  report.wire_bytes_total += rec.d.wire_bytes;
+  report.fp16_kv_bytes_total += rec.d.fp16_kv_bytes;
+  report.makespan_s = std::max(report.makespan_s, finish_at);
 }
 
 // Lower is better; policies never see kDown workers but rank them anyway so
@@ -208,8 +252,8 @@ FleetEngine::FleetEngine(std::shared_ptr<const TinyModelWeights> weights,
         weights_, wc, "decode" + std::to_string(j)));
   }
   // Link (p, d) gets link id p·M + d — link 0 is (prefill0, decode0) and
-  // keeps the base seed, so a 1×1 fleet replays DisaggEngine's exact fault
-  // schedule.
+  // keeps the base seed, so a 1×1 fleet draws the base config's exact
+  // fault stream.
   for (std::size_t p = 0; p < config_.prefill_workers; ++p) {
     for (std::size_t d = 0; d < config_.decode_workers; ++d) {
       links_.push_back(std::make_unique<FaultModel>(fault_config_for_link(
@@ -337,6 +381,76 @@ std::size_t FleetEngine::decode_pool_capacity(std::size_t j) const {
   return pool == nullptr ? SIZE_MAX : pool->num_blocks();
 }
 
+// One request's state across run()'s phases: its record (whose retry count
+// is the spent budget), jitter stream, the blob, the transfer timeline, the
+// checkpoint store, and the decode outcome. It lives on run()'s stack for
+// one request and never moves — the checkpoint sink points into it.
+struct FleetEngine::RequestState {
+  RequestState(const ServingRequest& req, std::size_t i, const RetryPolicy& p)
+      : request(req), index(i), policy(p), jitter(retry_jitter_rng(p, i)) {
+    rec.d.request = req;
+  }
+  RequestState(const RequestState&) = delete;
+  RequestState& operator=(const RequestState&) = delete;
+
+  // One recovery round: spends a unit of the request's retry budget
+  // (policy.max_retries rounds in all), draws the round's backoff, and moves
+  // `ready_at` to `from` + backoff. Returns false, spending nothing, once the
+  // budget is exhausted.
+  bool retry_round(double from, double& ready_at) {
+    if (rec.d.retries >= policy.max_retries) return false;
+    const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
+    ++rec.d.retries;
+    rec.d.backoff_s += wait;
+    ready_at = from + wait;
+    return true;
+  }
+
+  bool deadline_passed() const {
+    return policy.transfer_deadline_s > 0.0 &&
+           last_finish - transfer_epoch > policy.transfer_deadline_s;
+  }
+
+  DispatchContext context() const {
+    DispatchContext ctx;
+    ctx.request_index = index;
+    ctx.prompt_tokens = request.prompt.size();
+    ctx.need_kv_blocks = need_kv_blocks;
+    return ctx;
+  }
+
+  const ServingRequest& request;
+  const std::size_t index;  // arrival order
+  const RetryPolicy& policy;
+  Rng jitter;
+  FleetRecord rec;  // prefill_worker / decode_worker stay kNoWorker until
+                    // a blob exists / a decode completed
+  std::size_t need_kv_blocks = 0;  // worst-case decode-pool need
+
+  PrefillWorker::Result pre;  // the pristine blob, kept on its prefill worker
+
+  // Transfer timeline. Retransmissions always source the pristine blob.
+  double transfer_epoch = 0.0;  // blob ready on the prefill worker
+  double ready = 0.0;           // earliest start of the next transfer
+  double first_start = -1.0;    // first attempt's start (-1: none yet)
+  double last_finish = 0.0;     // latest transfer finish so far
+  bool first_transmission = true;  // the base blob has not been sent yet
+
+  // Checkpoint store: the request's prefill worker doubles as the standby —
+  // it already holds the pristine base blob, so base + latest verified delta
+  // is everything a resuming replica needs. The sink buffers cuts during the
+  // worker call (returning false at a cut is the proactive-drain stop
+  // signal); book_checkpoints ships them decode→prefill afterwards.
+  std::vector<std::uint8_t> stored_delta;
+  std::size_t stored_tokens = 0;
+  std::vector<DecodeCheckpoint> cut;
+  bool drain_now = false;
+  CheckpointSink sink;
+
+  DecodeWorker::Result dec;  // the completed decode (decode_worker set)
+  double finish_at = 0.0;    // last token's timeline instant
+};
+
 FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
   std::sort(requests.begin(), requests.end(),
             [](const ServingRequest& a, const ServingRequest& b) {
@@ -344,504 +458,22 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
             });
 
   FleetReport report;
-  std::vector<double> ttfts, jcts;
-  const TinyConfig& c = weights_->config();
-  const RetryPolicy& policy = config_.worker.retry;
-  const HealthPolicy& hp = config_.health;
-
-  // Sums every per-request counter into the report; called once per request
-  // on every exit path.
-  const auto rollup = [&](const FleetRecord& rec) {
-    report.retries_total += rec.d.retries;
-    report.chunks_dropped_total += rec.d.chunks_dropped;
-    report.chunks_corrupted_total += rec.d.chunks_corrupted;
-    report.crc_failures_total += rec.d.crc_failures;
-    report.prefill_crashes_total += rec.d.prefill_crashes;
-    report.decode_crashes_total += rec.d.decode_crashes;
-    report.retransmitted_bytes_total += rec.d.retransmitted_bytes;
-    report.reroutes_total += rec.reroutes;
-    report.prefill_failovers_total += rec.prefill_failovers;
-    report.re_prefills_total += rec.re_prefills;
-    report.checkpoints_total += rec.d.checkpoints;
-    report.checkpoint_bytes_total += rec.d.checkpoint_bytes;
-    report.checkpoint_failures_total += rec.d.checkpoint_failures;
-    report.resumes_total += rec.d.resumes;
-    report.tokens_replayed_total += rec.d.tokens_replayed;
-    report.tokens_recomputed_total += rec.d.tokens_recomputed;
-    report.migrations_total += rec.migrations;
-    report.drain_events_total += rec.drains;
-    if (rec.shed) ++report.shed_total;
-    if (rec.d.deadline_missed) ++report.deadline_misses;
-    if (rec.d.rejected) ++report.rejected;
-    if (rec.d.fallback_local) ++report.fallbacks;
-  };
-
   for (std::size_t index = 0; index < requests.size(); ++index) {
-    const ServingRequest& request = requests[index];
-    FleetRecord rec;
-    rec.d.request = request;
-    std::size_t budget = policy.max_retries;
-    Rng jitter = retry_jitter_rng(policy, index);
-
-    // Fleet-wide admission preflight: a request whose worst-case block need
-    // exceeds every decode pool can never be served disaggregated — shed it
-    // now (reject outright, or mark it for the local-decode path) instead of
-    // burning transfer retries discovering the same thing.
-    const std::size_t need = decode_[0]->blocks_needed(
-        request.prompt.size(), request.max_new_tokens);
-    bool fits_somewhere = false;
-    for (std::size_t j = 0; j < decode_.size(); ++j) {
-      if (need <= decode_pool_capacity(j)) {
-        fits_somewhere = true;
-        break;
-      }
+    RequestState s(requests[index], index, config_.worker.retry);
+    if (prefill_phase(s)) {
+      decode_phase(s);
+      finish_phase(s);
     }
-    if (!fits_somewhere && !policy.fallback_local) {
-      rec.shed = true;
-      rec.d.rejected = true;
-      rollup(rec);
-      report.requests.push_back(std::move(rec));
-      continue;
-    }
-
-    // ---- Prefill: dispatch, re-dispatching to a sibling on a crash. ----
-    double prefill_ready = request.arrival_time_s;
-    PrefillWorker::Result pre;
-    std::size_t pworker = kNoWorker;
-    bool prefilled = false;
-    bool prefill_exhausted = false;
-    while (!prefilled && !prefill_exhausted) {
-      DispatchContext ctx;
-      ctx.request_index = index;
-      ctx.prompt_tokens = request.prompt.size();
-      ctx.need_kv_blocks = need;
-      const std::size_t pick = pick_prefill(ctx, prefill_ready);
-      if (pick == kNoWorker) {
-        // Every prefill worker is down. Wait out the earliest cooldown if
-        // the budget allows — a retry round, never a deadlock.
-        const double recover = earliest_recovery(prefill_book_);
-        if (budget == 0 || !std::isfinite(recover)) {
-          prefill_exhausted = true;
-          break;
-        }
-        --budget;
-        const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-        ++rec.d.retries;
-        rec.d.backoff_s += wait;
-        prefill_ready = std::max(prefill_ready, recover) + wait;
-        continue;
-      }
-      rec.prefill_route.push_back(pick);
-      if (rec.prefill_route.size() > 1 &&
-          pick != rec.prefill_route[rec.prefill_route.size() - 2]) {
-        ++rec.prefill_failovers;
-      }
-      WorkerBook& book = prefill_book_[pick];
-      const double start = std::max(prefill_ready, book.free_s);
-      try {
-        pre = prefill_[pick]->prefill(request, index);
-        prefilled = true;
-        pworker = pick;
-        book.health.on_success(start, hp);
-        const double busy = pre.prefill_s + pre.serialize_s;
-        book.free_s = start + busy;
-        book.busy_s += busy;
-        book.commitments.push_back({book.free_s, pre.blob.size()});
-        ++book.served;
-      } catch (const WorkerCrash&) {
-        ++rec.d.prefill_crashes;
-        ++book.crashes;
-        book.health.on_failure(start, hp, /*fatal=*/true);
-        if (budget == 0) {
-          prefill_exhausted = true;
-          break;
-        }
-        --budget;
-        const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-        ++rec.d.retries;
-        rec.d.backoff_s += wait;
-        // A prefill crash leaves no KV state anywhere — the prompt must run
-        // again, on whichever sibling the policy picks next.
-        ++rec.re_prefills;
-        prefill_ready = start + wait;
-      }
-    }
-    if (prefill_exhausted) {
-      rec.d.rejected = true;  // no KV state exists; nothing to degrade to
-      rollup(rec);
-      report.requests.push_back(std::move(rec));
-      continue;
-    }
-    rec.prefill_worker = pworker;
-    rec.d.prefill_s = pre.prefill_s;
-    rec.d.serialize_s = pre.serialize_s;
-    rec.d.prefill_chunks = pre.prefill_chunks;
-    rec.d.wire_bytes = pre.blob.size();
-    rec.d.sections = pre.sections;
-    rec.d.fp16_kv_bytes = parse_kv_wire_header(pre.blob).tokens * c.kv_heads *
-                          c.d_head * 2 * 2 * c.layers;
-
-    // ---- Transfer + decode: route the blob, re-route on failure. ----
-    const double transfer_epoch = prefill_book_[pworker].free_s;
-    double ready = transfer_epoch;
-    double first_start = -1.0;
-    double last_finish = transfer_epoch;
-    bool first_transmission = true;
-
-    const auto deadline_passed = [&] {
-      return policy.transfer_deadline_s > 0.0 &&
-             last_finish - transfer_epoch > policy.transfer_deadline_s;
-    };
-    // Books one delivery pass of `wire` from src to dst over `fm`,
-    // retransmitting dropped chunk ranges until all land or the budget or
-    // deadline gives out. Retransmit rounds and waited-out link-down windows
-    // are transfer failures against `book`'s health (the decode-side worker
-    // of the link, whichever direction the bytes flow). `first` feeds the
-    // retransmitted_bytes ledger: request-scoped for the base blob, fresh
-    // per checkpoint-delta delivery (a delta's first copy is new bytes).
-    const auto deliver_blob = [&](std::vector<std::uint8_t>& wire, Nic& src,
-                                  Nic& dst, FaultModel* fm, WorkerBook& book,
-                                  bool& first) {
-      const int chunks = kv_wire_transfer_chunks(
-          wire.size(), config_.worker.transfer_chunk_bytes);
-      std::vector<ChunkRange> pending = chunk_ranges(wire.size(), chunks);
-      while (true) {
-        double bytes = 0.0;
-        for (const ChunkRange& r : pending) {
-          bytes += static_cast<double>(r.len);
-        }
-        if (!first) {
-          rec.d.retransmitted_bytes += static_cast<std::size_t>(bytes);
-        }
-        const std::size_t down_before = fm->stats().down_delays;
-        const FaultyTransferResult attempt = nccl_transfer_faulty(
-            src, dst, ready, bytes, static_cast<int>(pending.size()), fm);
-        first = false;
-        if (first_start < 0.0) first_start = attempt.result.start;
-        last_finish = std::max(last_finish, attempt.result.finish);
-        if (fm->stats().down_delays > down_before) {
-          ++book.transfer_failures;
-          book.health.on_failure(attempt.result.start, hp, /*fatal=*/false);
-        }
-
-        std::vector<ChunkRange> still_pending;
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-          const ChunkEvent& event = attempt.chunks[i];
-          if (event.fate == ChunkFate::kDropped) {
-            ++rec.d.chunks_dropped;
-            still_pending.push_back(pending[i]);
-          } else if (event.fate == ChunkFate::kCorrupted) {
-            ++rec.d.chunks_corrupted;
-            corrupt_range(wire, pending[i], event.corrupt_entropy);
-          }
-        }
-        if (still_pending.empty()) return true;
-        ++book.transfer_failures;
-        book.health.on_failure(last_finish, hp, /*fatal=*/false);
-        if (deadline_passed()) {
-          rec.d.deadline_missed = true;
-          return false;
-        }
-        if (budget == 0) return false;
-        --budget;
-        const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-        ++rec.d.retries;
-        rec.d.backoff_s += wait;
-        ready = last_finish + wait;
-        pending = std::move(still_pending);
-      }
-    };
-    // The prefill→decode handoff to worker j over link (pworker, j).
-    const auto deliver = [&](std::vector<std::uint8_t>& wire, std::size_t j) {
-      return deliver_blob(wire, prefill_[pworker]->nic(), decode_[j]->nic(),
-                          link(pworker, j), decode_book_[j],
-                          first_transmission);
-    };
-
-    // Checkpoint store: the request's prefill worker doubles as the standby
-    // — it already holds the pristine base blob, so base + latest verified
-    // delta is everything a resuming replica needs. The sink buffers cuts
-    // during the worker call (returning false at a cut is the proactive-
-    // drain stop signal); book_checkpoints ships them decode→prefill over
-    // the same faulty link afterwards, in cut order — checkpoints that left
-    // a crashing worker before it died still reach the store.
-    std::vector<std::uint8_t> stored_delta;
-    std::size_t stored_tokens = 0;
-    std::vector<DecodeCheckpoint> cut;
-    bool drain_now = false;
-    CheckpointSink sink;
-    if (config_.worker.checkpoint_every_tokens > 0) {
-      sink = [&cut, &drain_now](DecodeCheckpoint ckpt) {
-        cut.push_back(std::move(ckpt));
-        return !drain_now;
-      };
-    }
-    const auto book_checkpoints = [&](std::size_t j) {
-      for (DecodeCheckpoint& ckpt : cut) {
-        ++rec.d.checkpoints;
-        rec.d.checkpoint_bytes += ckpt.delta.size();
-        bool stored = false;
-        while (!stored) {
-          std::vector<std::uint8_t> dwire = ckpt.delta;
-          bool first = true;
-          if (!deliver_blob(dwire, decode_[j]->nic(), prefill_[pworker]->nic(),
-                            link(pworker, j), decode_book_[j], first)) {
-            break;
-          }
-          try {
-            // Admission gate: a delta lands in the store only after its CRC
-            // frames verify on the delivered bytes — a corrupted delivery
-            // costs a redelivery round, never a poisoned store.
-            verify_kv_wire(dwire);
-          } catch (const KvWireError&) {
-            ++rec.d.crc_failures;
-            ++decode_book_[j].transfer_failures;
-            decode_book_[j].health.on_failure(last_finish, hp,
-                                              /*fatal=*/false);
-            if (budget == 0) break;
-            --budget;
-            const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-            ++rec.d.retries;
-            rec.d.backoff_s += wait;
-            ready = last_finish + wait;
-            continue;
-          }
-          stored_delta = std::move(dwire);
-          stored_tokens = ckpt.tokens_decoded;
-          stored = true;
-        }
-        // Budget exhausted before the delta landed: the store keeps the
-        // previous checkpoint; a resume just replays a longer window.
-        if (!stored) ++rec.d.checkpoint_failures;
-      }
-      cut.clear();
-    };
-
-    DecodeWorker::Result dec;
-    std::size_t dworker = kNoWorker;
-    bool delivered = false;
-    bool failed = false;
-    while (!delivered && !failed) {
-      DispatchContext ctx;
-      ctx.request_index = index;
-      ctx.prompt_tokens = request.prompt.size();
-      ctx.need_kv_blocks = need;
-      const std::size_t pick = pick_decode(ctx, ready);
-      if (pick == kNoWorker) {
-        // No decode worker can admit the blob right now. If a down worker
-        // whose pool could hold it will recover, waiting is a retry round;
-        // otherwise the fleet sheds the request.
-        double recover = std::numeric_limits<double>::infinity();
-        for (std::size_t j = 0; j < decode_.size(); ++j) {
-          if (decode_book_[j].health.state == WorkerHealth::kDown &&
-              need <= decode_pool_capacity(j)) {
-            recover = std::min(recover,
-                               decode_book_[j].health.down_since_s +
-                                   hp.down_cooldown_s);
-          }
-        }
-        if (budget == 0 || !std::isfinite(recover)) {
-          rec.shed = true;
-          failed = true;
-          break;
-        }
-        --budget;
-        const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-        ++rec.d.retries;
-        rec.d.backoff_s += wait;
-        ready = std::max(ready, recover) + wait;
-        continue;
-      }
-      rec.decode_route.push_back(pick);
-      if (rec.decode_route.size() > 1 &&
-          pick != rec.decode_route[rec.decode_route.size() - 2]) {
-        // The serialized blob changes destination: a reroute, not a
-        // re-prefill — the prompt never runs again for a decode failure.
-        ++rec.reroutes;
-      }
-      std::vector<std::uint8_t> wire = pre.blob;
-      if (!deliver(wire, pick)) {
-        failed = true;
-        break;
-      }
-      if (deadline_passed()) {
-        rec.d.deadline_missed = true;
-        failed = true;
-        break;
-      }
-      WorkerBook& book = decode_book_[pick];
-      // Proactive drain decision: the handoff's link faults may have marked
-      // this worker suspect *after* dispatch picked it healthy. If a healthy
-      // replica with pool headroom exists, let the worker decode only to its
-      // first checkpoint cut, then migrate the request there. Bounded: each
-      // drain needs a distinct healthy target, and workers only degrade
-      // within one request's routing loop.
-      drain_now = false;
-      if (config_.proactive_drain && sink &&
-          book.health.state == WorkerHealth::kSuspect) {
-        for (std::size_t j = 0; j < decode_.size(); ++j) {
-          if (j != pick &&
-              decode_book_[j].health.state == WorkerHealth::kHealthy &&
-              need <= decode_[j]->free_kv_blocks()) {
-            drain_now = true;
-            break;
-          }
-        }
-      }
-      // A replica resumes from base + stored delta when the store has one
-      // (only ever true after a crash or drain); the delta ships back over
-      // this worker's own link first. If its delivery exhausts the budget,
-      // fall back to a full recompute from the base blob — the previously
-      // salvaged tokens are recomputed after all.
-      bool resume_now = stored_tokens > 0;
-      std::vector<std::uint8_t> delta_wire;
-      if (resume_now) {
-        delta_wire = stored_delta;
-        bool first = true;
-        if (!deliver_blob(delta_wire, prefill_[pworker]->nic(),
-                          decode_[pick]->nic(), link(pworker, pick), book,
-                          first)) {
-          resume_now = false;
-          rec.d.tokens_recomputed += stored_tokens;
-        }
-      }
-      bool retransmit = false;
-      try {
-        dec = resume_now ? decode_[pick]->resume(wire, delta_wire, request,
-                                                 index, sink)
-                         : decode_[pick]->decode(wire, pre.first_token,
-                                                 request, index, sink);
-        book_checkpoints(pick);
-        if (!dec.admitted) {
-          // The reservation lost to the preflight — pool pressure; shed.
-          rec.shed = true;
-          failed = true;
-          break;
-        }
-        if (resume_now) {
-          ++rec.d.resumes;
-          rec.d.tokens_replayed += dec.replayed_tokens;
-          if (rec.decode_route.size() > 1 &&
-              pick != rec.decode_route[rec.decode_route.size() - 2]) {
-            ++rec.migrations;  // resumed on a different replica: live move
-          }
-        }
-        if (dec.drained) {
-          // The suspect worker stopped at a consistent cut (now booked into
-          // the store). Its partial service occupies it on the timeline, but
-          // it did not complete the request — no served count, no health
-          // verdict either way — and the next round resumes elsewhere.
-          ++rec.drains;
-          ++book.drains;
-          const double start = std::max(last_finish, book.free_s);
-          const double partial_end = start + dec.deserialize_s + dec.decode_s;
-          book.free_s = partial_end;
-          book.busy_s += dec.deserialize_s + dec.decode_s;
-          rec.d.tokens_recomputed +=
-              dec.generated.size() -
-              std::min(stored_tokens, dec.generated.size());
-          ready = std::max(partial_end, last_finish);
-          continue;
-        }
-        delivered = true;
-        dworker = pick;
-        book.health.on_success(last_finish, hp);
-      } catch (const MidDecodeCrash& crash) {
-        // Mid-generation death. Checkpoints cut before the crash had already
-        // left the worker — book them into the store now; the lost window
-        // past the last stored cut is recomputed on whichever replica the
-        // next round picks. The blob never goes back through prefill.
-        ++rec.d.decode_crashes;
-        ++book.crashes;
-        book.health.on_failure(last_finish, hp, /*fatal=*/true);
-        book_checkpoints(pick);
-        rec.d.tokens_recomputed +=
-            crash.tokens_decoded -
-            std::min(stored_tokens, crash.tokens_decoded);
-        retransmit = true;
-      } catch (const WorkerCrash&) {
-        // The worker lost its receive buffer with the crash; the pristine
-        // blob still sits on the prefill worker, so the next round routes
-        // it to whichever replica the policy picks — rehydrate elsewhere.
-        ++rec.d.decode_crashes;
-        ++book.crashes;
-        book.health.on_failure(last_finish, hp, /*fatal=*/true);
-        cut.clear();
-        retransmit = true;
-      } catch (const KvWireError&) {
-        ++rec.d.crc_failures;
-        ++book.transfer_failures;
-        book.health.on_failure(last_finish, hp, /*fatal=*/false);
-        cut.clear();
-        retransmit = true;
-      }
-      if (retransmit) {
-        if (budget == 0) {
-          failed = true;
-          break;
-        }
-        --budget;
-        const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-        ++rec.d.retries;
-        rec.d.backoff_s += wait;
-        ready = last_finish + wait;
-      }
-    }
-    rec.d.transfer_s = first_start < 0.0 ? 0.0 : last_finish - first_start;
-
-    double first_token_at = 0.0;
-    double finish_at = 0.0;
-    if (delivered) {
-      rec.decode_worker = dworker;
-      rec.d.deserialize_s = dec.deserialize_s;
-      rec.d.decode_s = dec.decode_s;
-      rec.d.decode_kv_blocks = dec.kv_blocks;
-      rec.d.generated = std::move(dec.generated);
-      WorkerBook& book = decode_book_[dworker];
-      first_token_at = std::max(last_finish, book.free_s) + dec.deserialize_s;
-      finish_at = first_token_at + dec.decode_s;
-      book.free_s = finish_at;
-      book.busy_s += dec.deserialize_s + dec.decode_s;
-      book.commitments.push_back({finish_at, rec.d.wire_bytes});
-      ++book.served;
-    } else if (policy.fallback_local) {
-      // Shed-to-local / exhausted-budget degradation: the prefill worker
-      // that made the blob decodes it — still bit-identical.
-      rec.d.fallback_local = true;
-      const PrefillWorker::LocalDecode fb =
-          prefill_[pworker]->local_decode(pre.blob, pre.first_token, request);
-      rec.d.deserialize_s = fb.deserialize_s;
-      rec.d.decode_s = fb.decode_s;
-      rec.d.generated = fb.generated;
-      WorkerBook& book = prefill_book_[pworker];
-      const double fallback_start = std::max(last_finish, book.free_s);
-      first_token_at = fallback_start + fb.deserialize_s;
-      finish_at = first_token_at + fb.decode_s;
-      book.busy_s += fb.deserialize_s + fb.decode_s;
-      book.free_s = finish_at;
-      // served already counted this request at prefill time.
-    } else {
-      rec.d.rejected = true;
-    }
-
-    rollup(rec);
-    if (rec.d.rejected) {
-      report.requests.push_back(std::move(rec));
-      continue;
-    }
-
-    rec.d.ttft_s = first_token_at - request.arrival_time_s;
-    rec.d.jct_s = finish_at - request.arrival_time_s;
-    ttfts.push_back(rec.d.ttft_s);
-    jcts.push_back(rec.d.jct_s);
-
-    report.total_generated += rec.d.generated.size();
-    report.wire_bytes_total += rec.d.wire_bytes;
-    report.fp16_kv_bytes_total += rec.d.fp16_kv_bytes;
-    report.makespan_s = std::max(report.makespan_s, finish_at);
-    report.requests.push_back(std::move(rec));
+    rollup(s.rec, s.finish_at, report);
+    report.requests.push_back(std::move(s.rec));
   }
 
+  std::vector<double> ttfts, jcts;
+  for (const FleetRecord& rec : report.requests) {
+    if (rec.d.rejected) continue;
+    ttfts.push_back(rec.d.ttft_s);
+    jcts.push_back(rec.d.jct_s);
+  }
   if (!ttfts.empty()) report.ttft_s = compute_stats(std::move(ttfts));
   if (!jcts.empty()) report.jct_s = compute_stats(std::move(jcts));
 
@@ -874,6 +506,373 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
     report.decode_workers.push_back(std::move(s));
   }
   return report;
+}
+
+bool FleetEngine::prefill_phase(RequestState& s) {
+  FleetRecord& rec = s.rec;
+  const ServingRequest& request = s.request;
+  const HealthPolicy& hp = config_.health;
+
+  // Fleet-wide admission preflight: a request whose worst-case block need
+  // exceeds every decode pool can never be served disaggregated — shed it
+  // now (reject outright, or mark it for the local-decode path) instead of
+  // burning transfer retries discovering the same thing.
+  s.need_kv_blocks = decode_[0]->blocks_needed(request.prompt.size(),
+                                               request.max_new_tokens);
+  bool fits_somewhere = false;
+  for (std::size_t j = 0; j < decode_.size(); ++j) {
+    if (s.need_kv_blocks <= decode_pool_capacity(j)) {
+      fits_somewhere = true;
+      break;
+    }
+  }
+  if (!fits_somewhere && !s.policy.fallback_local) {
+    rec.shed = true;
+    rec.d.rejected = true;
+    return false;
+  }
+
+  // Dispatch, re-dispatching to a sibling on a crash.
+  double prefill_ready = request.arrival_time_s;
+  while (true) {
+    const std::size_t pick = pick_prefill(s.context(), prefill_ready);
+    if (pick == kNoWorker) {
+      // Every prefill worker is down. Wait out the earliest cooldown if the
+      // budget allows — a retry round, never a deadlock.
+      const double recover = earliest_recovery(prefill_book_);
+      if (!std::isfinite(recover) ||
+          !s.retry_round(std::max(prefill_ready, recover), prefill_ready)) {
+        break;
+      }
+      continue;
+    }
+    rec.prefill_route.push_back(pick);
+    if (rec.prefill_route.size() > 1 &&
+        pick != rec.prefill_route[rec.prefill_route.size() - 2]) {
+      ++rec.prefill_failovers;
+    }
+    WorkerBook& book = prefill_book_[pick];
+    const double start = std::max(prefill_ready, book.free_s);
+    try {
+      s.pre = prefill_[pick]->prefill(request, s.index);
+    } catch (const WorkerCrash&) {
+      ++rec.d.prefill_crashes;
+      ++book.crashes;
+      book.health.on_failure(start, hp, /*fatal=*/true);
+      if (!s.retry_round(start, prefill_ready)) break;
+      // A prefill crash leaves no KV state anywhere — the prompt must run
+      // again, on whichever sibling the policy picks next.
+      ++rec.re_prefills;
+      continue;
+    }
+    book.health.on_success(start, hp);
+    const double busy = s.pre.prefill_s + s.pre.serialize_s;
+    book.free_s = start + busy;
+    book.busy_s += busy;
+    book.commitments.push_back({book.free_s, s.pre.blob.size()});
+    ++book.served;
+
+    const TinyConfig& c = weights_->config();
+    rec.prefill_worker = pick;
+    rec.d.prefill_s = s.pre.prefill_s;
+    rec.d.serialize_s = s.pre.serialize_s;
+    rec.d.prefill_chunks = s.pre.prefill_chunks;
+    rec.d.wire_bytes = s.pre.blob.size();
+    rec.d.sections = s.pre.sections;
+    rec.d.fp16_kv_bytes = parse_kv_wire_header(s.pre.blob).tokens *
+                          c.kv_heads * c.d_head * 2 * 2 * c.layers;
+    return true;
+  }
+  rec.d.rejected = true;  // no KV state exists; nothing to degrade to
+  return false;
+}
+
+bool FleetEngine::deliver(RequestState& s, std::vector<std::uint8_t>& wire,
+                          Nic& src, Nic& dst, FaultModel* fm,
+                          WorkerBook& book, bool& first) {
+  const HealthPolicy& hp = config_.health;
+  const int chunks =
+      kv_wire_transfer_chunks(wire.size(), config_.worker.transfer_chunk_bytes);
+  std::vector<ChunkRange> pending = chunk_ranges(wire.size(), chunks);
+  while (true) {
+    double bytes = 0.0;
+    for (const ChunkRange& r : pending) bytes += static_cast<double>(r.len);
+    if (!first) {
+      s.rec.d.retransmitted_bytes += static_cast<std::size_t>(bytes);
+    }
+    const std::size_t down_before = fm->stats().down_delays;
+    const FaultyTransferResult attempt = nccl_transfer_faulty(
+        src, dst, s.ready, bytes, static_cast<int>(pending.size()), fm);
+    first = false;
+    if (s.first_start < 0.0) s.first_start = attempt.result.start;
+    s.last_finish = std::max(s.last_finish, attempt.result.finish);
+    if (fm->stats().down_delays > down_before) {
+      ++book.transfer_failures;
+      book.health.on_failure(attempt.result.start, hp, /*fatal=*/false);
+    }
+
+    std::vector<ChunkRange> still_pending;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      const ChunkEvent& event = attempt.chunks[i];
+      if (event.fate == ChunkFate::kDropped) {
+        ++s.rec.d.chunks_dropped;
+        still_pending.push_back(pending[i]);
+      } else if (event.fate == ChunkFate::kCorrupted) {
+        ++s.rec.d.chunks_corrupted;
+        corrupt_range(wire, pending[i], event.corrupt_entropy);
+      }
+    }
+    if (still_pending.empty()) return true;
+    ++book.transfer_failures;
+    book.health.on_failure(s.last_finish, hp, /*fatal=*/false);
+    if (s.deadline_passed()) {
+      s.rec.d.deadline_missed = true;
+      return false;
+    }
+    if (!s.retry_round(s.last_finish, s.ready)) return false;
+    pending = std::move(still_pending);
+  }
+}
+
+void FleetEngine::book_checkpoints(RequestState& s, std::size_t j) {
+  const std::size_t pworker = s.rec.prefill_worker;
+  for (DecodeCheckpoint& ckpt : s.cut) {
+    ++s.rec.d.checkpoints;
+    s.rec.d.checkpoint_bytes += ckpt.delta.size();
+    bool stored = false;
+    while (!stored) {
+      std::vector<std::uint8_t> dwire = ckpt.delta;
+      bool first = true;
+      if (!deliver(s, dwire, decode_[j]->nic(), prefill_[pworker]->nic(),
+                   link(pworker, j), decode_book_[j], first)) {
+        break;
+      }
+      try {
+        // Admission gate: a delta lands in the store only after its CRC
+        // frames verify on the delivered bytes — a corrupted delivery costs
+        // a redelivery round, never a poisoned store.
+        verify_kv_wire(dwire);
+      } catch (const KvWireError&) {
+        ++s.rec.d.crc_failures;
+        ++decode_book_[j].transfer_failures;
+        decode_book_[j].health.on_failure(s.last_finish, config_.health,
+                                          /*fatal=*/false);
+        if (!s.retry_round(s.last_finish, s.ready)) break;
+        continue;
+      }
+      s.stored_delta = std::move(dwire);
+      s.stored_tokens = ckpt.tokens_decoded;
+      stored = true;
+    }
+    // Budget exhausted before the delta landed: the store keeps the
+    // previous checkpoint; a resume just replays a longer window.
+    if (!stored) ++s.rec.d.checkpoint_failures;
+  }
+  s.cut.clear();
+}
+
+void FleetEngine::decode_phase(RequestState& s) {
+  FleetRecord& rec = s.rec;
+  const ServingRequest& request = s.request;
+  const HealthPolicy& hp = config_.health;
+  const std::size_t pworker = rec.prefill_worker;
+  s.transfer_epoch = prefill_book_[pworker].free_s;
+  s.ready = s.transfer_epoch;
+  s.last_finish = s.transfer_epoch;
+  if (config_.worker.checkpoint_every_tokens > 0) {
+    s.sink = [&s](DecodeCheckpoint ckpt) {
+      s.cut.push_back(std::move(ckpt));
+      return !s.drain_now;
+    };
+  }
+
+  while (rec.decode_worker == kNoWorker) {
+    const std::size_t pick = pick_decode(s.context(), s.ready);
+    if (pick == kNoWorker) {
+      // No decode worker can admit the blob right now. If a down worker
+      // whose pool could hold it will recover, waiting is a retry round;
+      // otherwise the fleet sheds the request.
+      double recover = std::numeric_limits<double>::infinity();
+      for (std::size_t j = 0; j < decode_.size(); ++j) {
+        if (decode_book_[j].health.state == WorkerHealth::kDown &&
+            s.need_kv_blocks <= decode_pool_capacity(j)) {
+          recover = std::min(recover, decode_book_[j].health.down_since_s +
+                                          hp.down_cooldown_s);
+        }
+      }
+      if (!std::isfinite(recover) ||
+          !s.retry_round(std::max(s.ready, recover), s.ready)) {
+        rec.shed = true;
+        break;
+      }
+      continue;
+    }
+    rec.decode_route.push_back(pick);
+    if (rec.decode_route.size() > 1 &&
+        pick != rec.decode_route[rec.decode_route.size() - 2]) {
+      // The serialized blob changes destination: a reroute, not a
+      // re-prefill — the prompt never runs again for a decode failure.
+      ++rec.reroutes;
+    }
+    WorkerBook& book = decode_book_[pick];
+    std::vector<std::uint8_t> wire = s.pre.blob;
+    if (!deliver(s, wire, prefill_[pworker]->nic(), decode_[pick]->nic(),
+                 link(pworker, pick), book, s.first_transmission)) {
+      break;
+    }
+    if (s.deadline_passed()) {
+      rec.d.deadline_missed = true;
+      break;
+    }
+    // Proactive drain decision: the handoff's link faults may have marked
+    // this worker suspect *after* dispatch picked it healthy. If a healthy
+    // replica with pool headroom exists, let the worker decode only to its
+    // first checkpoint cut, then migrate the request there. Bounded: each
+    // drain needs a distinct healthy target, and workers only degrade
+    // within one request's routing loop.
+    s.drain_now = false;
+    if (config_.proactive_drain && s.sink &&
+        book.health.state == WorkerHealth::kSuspect) {
+      for (std::size_t j = 0; j < decode_.size(); ++j) {
+        if (j != pick &&
+            decode_book_[j].health.state == WorkerHealth::kHealthy &&
+            s.need_kv_blocks <= decode_[j]->free_kv_blocks()) {
+          s.drain_now = true;
+          break;
+        }
+      }
+    }
+    // A replica resumes from base + stored delta when the store has one
+    // (only ever true after a crash or drain); the delta ships back over
+    // this worker's own link first. If its delivery exhausts the budget,
+    // fall back to a full recompute from the base blob — the previously
+    // salvaged tokens are recomputed after all.
+    bool resume_now = s.stored_tokens > 0;
+    std::vector<std::uint8_t> delta_wire;
+    if (resume_now) {
+      delta_wire = s.stored_delta;
+      bool first = true;
+      if (!deliver(s, delta_wire, prefill_[pworker]->nic(),
+                   decode_[pick]->nic(), link(pworker, pick), book, first)) {
+        resume_now = false;
+        rec.d.tokens_recomputed += s.stored_tokens;
+      }
+    }
+    try {
+      s.dec = resume_now ? decode_[pick]->resume(wire, delta_wire, request,
+                                                 s.index, s.sink)
+                         : decode_[pick]->decode(wire, s.pre.first_token,
+                                                 request, s.index, s.sink);
+      book_checkpoints(s, pick);
+      if (!s.dec.admitted) {
+        // The reservation lost to the preflight — pool pressure; shed.
+        rec.shed = true;
+        break;
+      }
+      if (resume_now) {
+        ++rec.d.resumes;
+        rec.d.tokens_replayed += s.dec.replayed_tokens;
+        if (rec.decode_route.size() > 1 &&
+            pick != rec.decode_route[rec.decode_route.size() - 2]) {
+          ++rec.migrations;  // resumed on a different replica: live move
+        }
+      }
+      if (s.dec.drained) {
+        // The suspect worker stopped at a consistent cut (now booked into
+        // the store). Its partial service occupies it on the timeline, but
+        // it did not complete the request — no served count, no health
+        // verdict either way — and the next round resumes elsewhere.
+        ++rec.drains;
+        ++book.drains;
+        const double start = std::max(s.last_finish, book.free_s);
+        const double partial_end =
+            start + s.dec.deserialize_s + s.dec.decode_s;
+        book.free_s = partial_end;
+        book.busy_s += s.dec.deserialize_s + s.dec.decode_s;
+        rec.d.tokens_recomputed +=
+            s.dec.generated.size() -
+            std::min(s.stored_tokens, s.dec.generated.size());
+        s.ready = std::max(partial_end, s.last_finish);
+        continue;
+      }
+      rec.decode_worker = pick;
+      book.health.on_success(s.last_finish, hp);
+      continue;
+    } catch (const MidDecodeCrash& crash) {
+      // Mid-generation death. Checkpoints cut before the crash had already
+      // left the worker — book them into the store now; the lost window
+      // past the last stored cut is recomputed on whichever replica the
+      // next round picks. The blob never goes back through prefill.
+      ++rec.d.decode_crashes;
+      ++book.crashes;
+      book.health.on_failure(s.last_finish, hp, /*fatal=*/true);
+      book_checkpoints(s, pick);
+      rec.d.tokens_recomputed +=
+          crash.tokens_decoded -
+          std::min(s.stored_tokens, crash.tokens_decoded);
+    } catch (const WorkerCrash&) {
+      // The worker lost its receive buffer with the crash; the pristine
+      // blob still sits on the prefill worker, so the next round routes it
+      // to whichever replica the policy picks — rehydrate elsewhere.
+      ++rec.d.decode_crashes;
+      ++book.crashes;
+      book.health.on_failure(s.last_finish, hp, /*fatal=*/true);
+      s.cut.clear();
+    } catch (const KvWireError&) {
+      // Corruption survived the transport; the typed CRC/section error is
+      // the signal for a full-blob retransmit.
+      ++rec.d.crc_failures;
+      ++book.transfer_failures;
+      book.health.on_failure(s.last_finish, hp, /*fatal=*/false);
+      s.cut.clear();
+    }
+    // A crash or CRC rejection: retransmit in a new round, if any are left.
+    if (!s.retry_round(s.last_finish, s.ready)) break;
+  }
+  rec.d.transfer_s =
+      s.first_start < 0.0 ? 0.0 : s.last_finish - s.first_start;
+}
+
+void FleetEngine::finish_phase(RequestState& s) {
+  FleetRecord& rec = s.rec;
+  double first_token_at = 0.0;
+  if (rec.decode_worker != kNoWorker) {
+    rec.d.deserialize_s = s.dec.deserialize_s;
+    rec.d.decode_s = s.dec.decode_s;
+    rec.d.decode_kv_blocks = s.dec.kv_blocks;
+    rec.d.generated = std::move(s.dec.generated);
+    WorkerBook& book = decode_book_[rec.decode_worker];
+    first_token_at =
+        std::max(s.last_finish, book.free_s) + s.dec.deserialize_s;
+    s.finish_at = first_token_at + s.dec.decode_s;
+    book.free_s = s.finish_at;
+    book.busy_s += s.dec.deserialize_s + s.dec.decode_s;
+    book.commitments.push_back({s.finish_at, rec.d.wire_bytes});
+    ++book.served;
+  } else if (s.policy.fallback_local) {
+    // Shed-to-local / exhausted-budget degradation: the prefill worker that
+    // made the blob decodes it — bit-identical to the decode worker's
+    // continuation, at the cost of occupying the prefill worker.
+    rec.d.fallback_local = true;
+    const PrefillWorker::LocalDecode fb =
+        prefill_[rec.prefill_worker]->local_decode(
+            s.pre.blob, s.pre.first_token, s.request);
+    rec.d.deserialize_s = fb.deserialize_s;
+    rec.d.decode_s = fb.decode_s;
+    rec.d.generated = fb.generated;
+    WorkerBook& book = prefill_book_[rec.prefill_worker];
+    const double fallback_start = std::max(s.last_finish, book.free_s);
+    first_token_at = fallback_start + fb.deserialize_s;
+    s.finish_at = first_token_at + fb.decode_s;
+    book.busy_s += fb.deserialize_s + fb.decode_s;
+    book.free_s = s.finish_at;
+    // served already counted this request at prefill time.
+  } else {
+    rec.d.rejected = true;
+    return;
+  }
+  rec.d.ttft_s = first_token_at - s.request.arrival_time_s;
+  rec.d.jct_s = s.finish_at - s.request.arrival_time_s;
 }
 
 }  // namespace hack

@@ -1,14 +1,22 @@
-// Multi-replica disaggregated fleet: N prefill workers × M decode workers.
+// The disaggregated serving engine: N prefill workers × M decode workers.
 //
-// PR 6's DisaggEngine recovers from faults on a single prefill→decode pair —
-// a worker crash there means retrying the same worker or degrading to a
-// local decode. At fleet scale the right answer is *routing*: a dead decode
-// worker is a reason to send the already-serialized KV blob to a replica
-// (rehydrate-elsewhere, never re-prefill), a dead prefill worker a reason to
-// re-dispatch the prompt to a sibling, and a full decode pool a reason to
-// shed load — FlowKV (PAPERS.md) makes the case for treating KV-transfer
-// health as a first-class scheduling input. This module is that engine:
+// One prefill→decode pair can only answer a worker crash by retrying the
+// same worker or degrading to a local decode. At fleet scale the right
+// answer is *routing*: a dead decode worker is a reason to send the
+// already-serialized KV blob to a replica (rehydrate-elsewhere, never
+// re-prefill), a dead prefill worker a reason to re-dispatch the prompt to a
+// sibling, and a full decode pool a reason to shed load — FlowKV
+// (PAPERS.md) makes the case for treating KV-transfer health as a
+// first-class scheduling input. The paper's single-pair deployment is the
+// 1×1 case of the same engine, so there is one recovery loop:
 //
+//   Single pair a 1×1 fleet. With HealthPolicy{down_after = SIZE_MAX,
+//               down_cooldown_s = 0} transfer failures never demote the
+//               only worker and a crashed worker restarts at once, so every
+//               failure costs exactly one retry round
+//               (tests/test_disagg_faults.cpp). Under the default
+//               HealthPolicy a crash also costs a counted round waiting out
+//               the worker's cooldown.
 //   Health      every worker carries a state machine
 //                 healthy → suspect → down → recovering → healthy
 //               driven by crash injection (fatal: straight to down),
@@ -29,8 +37,8 @@
 //               a replica over that replica's own link (a reroute, counted;
 //               the prompt is never recomputed — re_prefills_from_decode
 //               stays zero by construction). A prefill crash re-dispatches
-//               the prompt to a sibling prefill worker. Both burn the same
-//               bounded per-request retry budget as the single-pair engine.
+//               the prompt to a sibling prefill worker. Both burn the
+//               request's bounded RetryPolicy budget.
 //   Resume      with a checkpoint cadence on (DisaggConfig::
 //               checkpoint_every_tokens), a decode worker dying *mid-
 //               generation* costs at most one checkpoint window: the
@@ -60,8 +68,8 @@
 // The bit-identity contract extends fleet-wide (docs/robustness.md): any
 // schedule of crashes, link-down windows, drops, and corruptions that does
 // not exhaust a request's budget yields token streams identical to the
-// fault-free single-pair run — workers are replicas of one model + backend
-// seed, and the blob rehydrates the same bytes wherever it lands.
+// fault-free 1×1 run — workers are replicas of one model + backend seed,
+// and the blob rehydrates the same bytes wherever it lands.
 // tests/test_fleet.cpp pins the contract; bench_serving_throughput
 // --fleet=NxM (with --kill=worker:request schedules) measures it.
 #pragma once
@@ -72,6 +80,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics/stats.h"
 #include "serving/disagg.h"
 
 namespace hack {
@@ -244,8 +253,7 @@ struct FleetReport {
   std::size_t migrations_total = 0;
   std::size_t drain_events_total = 0;
 
-  // Fault/recovery rollups (sums of the per-request counters, as in
-  // DisaggReport).
+  // Fault/recovery rollups (sums of the per-request counters).
   std::size_t retries_total = 0;
   std::size_t chunks_dropped_total = 0;
   std::size_t chunks_corrupted_total = 0;
@@ -259,8 +267,10 @@ struct FleetReport {
 };
 
 // Orchestrates the fleet over one FCFS arrival timeline: measured compute,
-// netsim-modeled per-link transfers, health-gated policy dispatch, and the
-// single-pair engine's bounded retry budget per request.
+// netsim-modeled per-link transfers, health-gated policy dispatch, and a
+// bounded retry budget per request. Worker busy horizons, health and link
+// fault streams persist across run() calls, so back-to-back runs share one
+// timeline.
 class FleetEngine {
  public:
   FleetEngine(std::shared_ptr<const TinyModelWeights> weights,
@@ -331,6 +341,35 @@ class FleetEngine {
   // when none is down).
   double earliest_recovery(const std::vector<WorkerBook>& books) const;
   std::size_t decode_pool_capacity(std::size_t j) const;
+
+  // run() serves each request through these phases, in order; every
+  // recovery round of every phase spends the request's one retry budget.
+  struct RequestState;  // one request's record, budget, timeline and store
+  // Dispatch + prefill: the fleet-wide admission preflight, then the prompt
+  // runs, re-dispatched to a sibling on a crash. False when the request ends
+  // here (shed, or prefill retries exhausted): no blob exists.
+  bool prefill_phase(RequestState& s);
+  // Deliver: ships `wire` from src to dst over `fm`, retransmitting dropped
+  // chunk ranges until all land or the budget or deadline gives out.
+  // Corrupted chunks land with a bit flipped — detection is the receiver's
+  // CRC check. Retransmit rounds and waited-out link-down windows are
+  // transfer failures against `book` (the decode-side worker of the link,
+  // whichever direction the bytes flow). `first` feeds the
+  // retransmitted_bytes ledger: request-scoped for the base blob, fresh per
+  // checkpoint-delta delivery (a delta's first copy is new bytes).
+  bool deliver(RequestState& s, std::vector<std::uint8_t>& wire, Nic& src,
+               Nic& dst, FaultModel* fm, WorkerBook& book, bool& first);
+  // Ships the checkpoints decode worker j cut during its last call to the
+  // store (the request's prefill worker), in cut order — checkpoints that
+  // left a crashing worker before it died still reach the store.
+  void book_checkpoints(RequestState& s, std::size_t j);
+  // Decode + route: pick a decode worker, deliver the blob (and the stored
+  // delta, to resume), decode; on a crash or CRC rejection spend a round and
+  // route again. Leaves decode_worker unset when the request must degrade.
+  void decode_phase(RequestState& s);
+  // Finish: places the completed decode — or the prefill worker's local
+  // fallback, or the rejection — on the timeline and stamps TTFT/JCT.
+  void finish_phase(RequestState& s);
 
   std::shared_ptr<const TinyModelWeights> weights_;
   FleetConfig config_;

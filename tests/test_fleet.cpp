@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "model/tiny_transformer.h"
-#include "serving/disagg.h"
 #include "serving/fleet.h"
 #include "workload/corpus.h"
 
@@ -53,19 +52,30 @@ std::vector<ServingRequest> make_requests(std::size_t n, std::size_t vocab) {
   return reqs;
 }
 
-// The contract's reference: the fault-free single-pair engine. Fleet runs of
-// any shape must reproduce these token streams bit-for-bit.
+// The single prefill→decode pair: a 1×1 fleet whose health policy never
+// demotes the only worker for transfer failures and restarts a crashed one
+// at once, so every failure costs exactly one retry round.
+FleetConfig single_pair(const DisaggConfig& dc) {
+  FleetConfig fc;
+  fc.worker = dc;
+  fc.health.down_after = SIZE_MAX;
+  fc.health.down_cooldown_s = 0.0;
+  return fc;
+}
+
+// The contract's reference: the fault-free single pair. Fleet runs of any
+// shape must reproduce these token streams bit-for-bit.
 std::vector<std::vector<int>> reference_tokens(
     const std::shared_ptr<const TinyModelWeights>& weights,
     const DisaggConfig& dc, const std::vector<ServingRequest>& reqs) {
   DisaggConfig clean = dc;
   clean.transfer_faults = {};
-  DisaggEngine engine(weights, clean);
-  const DisaggReport report = engine.run(reqs);
+  FleetEngine engine(weights, single_pair(clean));
+  const FleetReport report = engine.run(reqs);
   std::vector<std::vector<int>> out;
-  for (const DisaggRecord& rec : report.requests) {
-    EXPECT_FALSE(rec.rejected);
-    out.push_back(rec.generated);
+  for (const FleetRecord& rec : report.requests) {
+    EXPECT_FALSE(rec.d.rejected);
+    out.push_back(rec.d.generated);
   }
   return out;
 }
@@ -397,18 +407,18 @@ TEST(FleetEngine, RetryJitterStreamsAreIndependentAcrossRequests) {
 
   const auto run_with_crashes =
       [&](std::initializer_list<std::size_t> crash_at) {
-        DisaggEngine engine(weights, dc);
+        FleetEngine engine(weights, single_pair(dc));
         for (const std::size_t index : crash_at) {
-          engine.prefill_worker().inject_crash(index);
+          engine.prefill_worker(0).inject_crash(index);
         }
         return engine.run(reqs);
       };
-  const DisaggReport both = run_with_crashes({0, 3});
-  const DisaggReport only3 = run_with_crashes({3});
-  EXPECT_GT(both.requests[0].backoff_s, 0.0);
-  EXPECT_GT(both.requests[3].backoff_s, 0.0);
+  const FleetReport both = run_with_crashes({0, 3});
+  const FleetReport only3 = run_with_crashes({3});
+  EXPECT_GT(both.requests[0].d.backoff_s, 0.0);
+  EXPECT_GT(both.requests[3].d.backoff_s, 0.0);
   // Request 3's draws are unchanged by request 0's recovery activity.
-  EXPECT_EQ(both.requests[3].backoff_s, only3.requests[3].backoff_s);
+  EXPECT_EQ(both.requests[3].d.backoff_s, only3.requests[3].d.backoff_s);
 }
 
 // ------------------------------------------------------------- shedding

@@ -18,7 +18,7 @@
 #include "kvcache/kv_wire.h"
 #include "model/tiny_transformer.h"
 #include "quant/packed.h"
-#include "serving/disagg.h"
+#include "serving/fleet.h"
 #include "serving/engine.h"
 #include "workload/corpus.h"
 
@@ -565,12 +565,29 @@ struct HandoffCase {
   Rounding rounding;
 };
 
+// The single prefill→decode pair: a 1×1 fleet whose health policy never
+// demotes the only worker for transfer failures and restarts a crashed one
+// at once, so every failure costs exactly one retry round.
+FleetConfig single_pair(const DisaggConfig& dc) {
+  FleetConfig fc;
+  fc.worker = dc;
+  fc.health.down_after = SIZE_MAX;
+  fc.health.down_cooldown_s = 0.0;
+  return fc;
+}
+
+// Wire bytes over FP16 K+V bytes across the report's served requests.
+double wire_vs_fp16(const FleetReport& report) {
+  return static_cast<double>(report.wire_bytes_total) /
+         static_cast<double>(report.fp16_kv_bytes_total);
+}
+
 std::vector<int> disagg_generate(
     const std::shared_ptr<const TinyModelWeights>& weights,
     const DisaggConfig& cfg, const ServingRequest& req,
     DisaggRecord* rec_out = nullptr) {
-  DisaggEngine engine(weights, cfg);
-  DisaggRecord rec = engine.serve(req);
+  FleetEngine engine(weights, single_pair(cfg));
+  DisaggRecord rec = engine.run({req}).requests[0].d;
   EXPECT_FALSE(rec.rejected);
   if (rec_out != nullptr) *rec_out = rec;
   return rec.generated;
@@ -769,8 +786,8 @@ TEST(DisaggHandoff, DecodePoolRejectsOversizedRequests) {
 
   // Default policy: the rejection degrades gracefully to a local decode on
   // the prefill worker — the request still completes.
-  DisaggEngine engine(weights, dc);
-  const DisaggRecord rec = engine.serve(req);
+  FleetEngine engine(weights, single_pair(dc));
+  const DisaggRecord rec = engine.run({req}).requests[0].d;
   EXPECT_FALSE(rec.rejected);
   EXPECT_TRUE(rec.fallback_local);
   EXPECT_FALSE(rec.generated.empty());
@@ -778,20 +795,20 @@ TEST(DisaggHandoff, DecodePoolRejectsOversizedRequests) {
   // With fallback disabled, the old drop semantics hold.
   DisaggConfig strict = dc;
   strict.retry.fallback_local = false;
-  DisaggEngine engine_strict(weights, strict);
-  const DisaggRecord rec_strict = engine_strict.serve(req);
+  FleetEngine engine_strict(weights, single_pair(strict));
+  const DisaggRecord rec_strict = engine_strict.run({req}).requests[0].d;
   EXPECT_TRUE(rec_strict.rejected);
   EXPECT_TRUE(rec_strict.generated.empty());
 
   // A pool that fits admits, decodes, and releases every block.
   DisaggConfig roomy = dc;
   roomy.decode_kv_blocks = 8;
-  DisaggEngine engine2(weights, roomy);
-  const DisaggRecord rec2 = engine2.serve(req);
+  FleetEngine engine2(weights, single_pair(roomy));
+  const DisaggRecord rec2 = engine2.run({req}).requests[0].d;
   EXPECT_FALSE(rec2.rejected);
   EXPECT_FALSE(rec2.fallback_local);
   EXPECT_EQ(rec2.decode_kv_blocks, 3u);  // ceil(48 / 16)
-  EXPECT_EQ(engine2.decode_worker().allocator()->blocks_in_use(), 0u);
+  EXPECT_EQ(engine2.decode_worker(0).allocator()->blocks_in_use(), 0u);
   // The fallback's output matches the admitted decode bit for bit.
   EXPECT_EQ(rec.generated, rec2.generated);
 }
@@ -819,10 +836,11 @@ TEST(DisaggHandoff, TimelineOverlapsTransfersWithNextPrefill) {
     reqs.push_back(std::move(r));
   }
 
-  DisaggEngine engine(weights, dc);
-  const DisaggReport report = engine.run(reqs);
+  FleetEngine engine(weights, single_pair(dc));
+  const FleetReport report = engine.run(reqs);
   ASSERT_EQ(report.requests.size(), 3u);
-  for (const DisaggRecord& rec : report.requests) {
+  for (const FleetRecord& fleet_rec : report.requests) {
+    const DisaggRecord& rec = fleet_rec.d;
     EXPECT_FALSE(rec.rejected);
     EXPECT_GT(rec.transfer_s, 0.5);  // the slow NIC really is on the path
     EXPECT_GT(rec.ttft_s, rec.transfer_s);  // TTFT charges the transfer
@@ -830,13 +848,14 @@ TEST(DisaggHandoff, TimelineOverlapsTransfersWithNextPrefill) {
   // Transfer overlap: with all three prompts prefilled while blobs crawl
   // the wire, the makespan is far below the sum of serialized stages.
   double serial_sum = 0.0;
-  for (const DisaggRecord& rec : report.requests) {
+  for (const FleetRecord& fleet_rec : report.requests) {
+    const DisaggRecord& rec = fleet_rec.d;
     serial_sum += rec.prefill_s + rec.serialize_s + rec.transfer_s +
                   rec.deserialize_s + rec.decode_s;
   }
   EXPECT_LT(report.makespan_s, serial_sum);
-  EXPECT_GT(report.wire_vs_fp16, 0.0);
-  EXPECT_LT(report.wire_vs_fp16, 0.25);  // 2-bit wire vs FP16 KV
+  EXPECT_GT(wire_vs_fp16(report), 0.0);
+  EXPECT_LT(wire_vs_fp16(report), 0.25);  // 2-bit wire vs FP16 KV
 }
 
 }  // namespace
