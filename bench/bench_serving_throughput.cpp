@@ -76,8 +76,7 @@
 //    "wire_tail_bytes":...,"transfer_ms_mean":...,"ttft_p50_s":...,
 //    "retries":...,"chunks_dropped":...,"chunks_corrupted":...,
 //    "crc_failures":...,"retransmitted_bytes":...,"fallbacks":...,
-//    "deadline_misses":...,"failed_allocations":...,"min_free_watermark":...,
-//    "bit_identical":true}
+//    "deadline_misses":...,"bit_identical":true}
 //
 // `--drop=`/`--corrupt=` inject that probability of chunk loss/corruption on
 // the disagg transfer path (seeded by `--fault-seed=`, so a chaos leg is
@@ -815,12 +814,11 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
     fc.health.down_cooldown_s = 0.0;
     FleetEngine engine(weights, fc);
     const FleetReport report = engine.run(requests);
-    const FleetWorkerStats& decode_pool = report.decode_workers[0];
 
     // The property the wire exists for: every admitted request's decode-side
-    // tokens equal its solo single-node run. Requests the decode pool
-    // rejected are a capacity event, not a correctness one — they are
-    // counted separately and excluded from the byte/time aggregates (like
+    // tokens equal its solo single-node run. Rejected requests are a
+    // capacity event, not a correctness one — they are counted separately
+    // and excluded from the byte/time aggregates (like
     // report.wire_bytes_total already excludes them).
     bool bit_identical = true;
     std::size_t rejected = 0;
@@ -875,8 +873,7 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
         "\"retries\":%zu,\"chunks_dropped\":%zu,\"chunks_corrupted\":%zu,"
         "\"crc_failures\":%zu,\"retransmitted_bytes\":%zu,"
         "\"prefill_crashes\":%zu,\"decode_crashes\":%zu,\"fallbacks\":%zu,"
-        "\"deadline_misses\":%zu,\"failed_allocations\":%zu,"
-        "\"min_free_watermark\":%zu,\"bit_identical\":%s}\n",
+        "\"deadline_misses\":%zu,\"bit_identical\":%s}\n",
         kv_bits, o.requests, shape.heads, shape.kv_heads, shape.d_head,
         shape.pi, o.layers, o.input, o.output,
         ThreadPool::global().lanes(), report.wire_bytes_total,
@@ -891,7 +888,6 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
         report.crc_failures_total, report.retransmitted_bytes_total,
         report.prefill_crashes_total, report.decode_crashes_total,
         report.fallbacks, report.deadline_misses,
-        decode_pool.failed_allocations, decode_pool.min_free_watermark,
         bit_identical ? "true" : "false");
     std::fflush(stdout);
   }

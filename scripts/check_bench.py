@@ -5,11 +5,18 @@
 
 The file holds one JSON object per line (the CI workflow greps them out of
 the bench's stdout with `grep '^{'`). Every line is parsed, then checked
-against the leg's declaration below: how many lines it must hold, which
-"bench" name each line carries, and a predicate per field that every line
-must satisfy. A missing field fails its predicate. Parsing the lines means
-a check does not depend on field order or number formatting, as a `grep`
-for `'"chunks_dropped":0,'` did.
+against the leg's declaration below:
+
+- "lines": how many lines of each "bench" name the file must hold, exactly;
+  a line with any other "bench" name fails.
+- "checks": (bench, where, field, predicate, description) rows. A check
+  applies to every line of that bench name whose fields equal `where`
+  (None: every line of the name), must apply to at least one line, and
+  fails on any such line where the field is missing or the predicate is
+  false.
+
+Parsing the lines means a check does not depend on field order or number
+formatting, as a `grep` for `'"chunks_dropped":0,'` did.
 
 Exits 0 when every predicate holds; otherwise prints one line per failure
 and exits 1.
@@ -22,36 +29,89 @@ import pathlib
 import sys
 
 
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def is_true(value) -> bool:
     return value is True
 
 
 def positive(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and value > 0
+    return is_number(value) and value > 0
 
 
-# leg name → {"lines": exact line count, "bench": the "bench" name of every
-# line, "every_line": {field: (predicate, description)}}.
+def zero(value) -> bool:
+    return is_number(value) and value == 0
+
+
+def above_one(value) -> bool:
+    return is_number(value) and value > 1.0
+
+
+BIT_IDENTICAL = (is_true, "== true")
+POSITIVE = (positive, "> 0")
+
+
+def fleet_checks(*positive_fields: str) -> list[tuple]:
+    """The rollup line of a --fleet run: bit-identical, no re-prefill after
+    a decode crash, and each named counter non-vacuous."""
+    checks = [("serving_fleet", None, "bit_identical", *BIT_IDENTICAL),
+              ("serving_fleet", None, "re_prefills_from_decode", zero,
+               "== 0")]
+    checks += [("serving_fleet", None, field, *POSITIVE)
+               for field in positive_fields]
+    return checks
+
+
 LEGS = {
     # bench_serving_throughput --disagg, fault-free: one line per KV
     # bit-width {2,4,8}, every decode bit-identical to solo generate().
     "disagg": {
-        "lines": 3,
-        "bench": "serving_disagg",
-        "every_line": {
-            "bit_identical": (is_true, "== true"),
-        },
+        "lines": {"serving_disagg": 3},
+        "checks": [("serving_disagg", None, "bit_identical", *BIT_IDENTICAL)],
     },
     # bench_serving_throughput --disagg under --drop/--corrupt: as "disagg",
     # and the schedule must actually have dropped chunks on every line.
     "chaos": {
-        "lines": 3,
-        "bench": "serving_disagg",
-        "every_line": {
-            "bit_identical": (is_true, "== true"),
-            "chunks_dropped": (positive, "> 0"),
-        },
+        "lines": {"serving_disagg": 3},
+        "checks": [("serving_disagg", None, "bit_identical", *BIT_IDENTICAL),
+                   ("serving_disagg", None, "chunks_dropped", *POSITIVE)],
+    },
+    # --fleet=2x2, fault-free: one rollup line plus one line per worker.
+    "fleet": {
+        "lines": {"serving_fleet": 1, "serving_fleet_worker": 4},
+        "checks": [("serving_fleet", None, "bit_identical", *BIT_IDENTICAL)],
+    },
+    # --fleet=2x2 with drop/corrupt noise and --kill=prefill1:1,decode0:2:
+    # both kills fired, the decode crash rerouted the blob, the prefill
+    # crash failed over to a sibling, and nothing was re-prefilled.
+    "fleet_chaos": {
+        "lines": {"serving_fleet": 1, "serving_fleet_worker": 4},
+        "checks": fleet_checks("prefill_crashes", "decode_crashes",
+                               "reroutes", "prefill_failovers"),
+    },
+    # --fleet=1x2 --checkpoint-every=4 --kill=decode1:1@6: the mid-decode
+    # kill fired, deltas were cut, the replica resumed from one (a
+    # migration) replaying its suffix, and nothing was re-prefilled.
+    "checkpoint": {
+        "lines": {"serving_fleet": 1, "serving_fleet_worker": 3},
+        "checks": fleet_checks("decode_crashes", "checkpoints", "resumes",
+                               "migrations", "tokens_replayed"),
+    },
+    # --tiered: an fcfs and a tiered line plus the comparison line. The
+    # tiered leg really evicted, beat FCFS concurrency, hid at least half of
+    # the swap-in work behind prefetch, and changed no token.
+    "tiered": {
+        "lines": {"serving_tiered": 2, "serving_tiered_compare": 1},
+        "checks": [
+            ("serving_tiered", {"mode": "tiered"}, "evictions", *POSITIVE),
+            ("serving_tiered_compare", None, "bit_identical", *BIT_IDENTICAL),
+            ("serving_tiered_compare", None, "concurrency_gain", above_one,
+             "> 1.0"),
+            ("serving_tiered_compare", None, "prefetch_overlap_ge_half",
+             is_true, "== true"),
+        ],
     },
 }
 
@@ -75,14 +135,24 @@ def check(leg: str, text: str) -> list[str]:
             continue
         lines.append((number, line))
 
-    if len(lines) != spec["lines"]:
-        failures.append(
-            f"expected exactly {spec['lines']} lines, found {len(lines)}")
     for number, line in lines:
-        if line.get("bench") != spec["bench"]:
-            failures.append(f"line {number}: bench is {line.get('bench')!r}, "
-                            f"expected {spec['bench']!r}")
-        for field, (predicate, description) in spec["every_line"].items():
+        if line.get("bench") not in spec["lines"]:
+            failures.append(f"line {number}: unexpected bench "
+                            f"{line.get('bench')!r}")
+    for bench, count in spec["lines"].items():
+        found = sum(1 for _, line in lines if line.get("bench") == bench)
+        if found != count:
+            failures.append(f"expected exactly {count} {bench!r} lines, "
+                            f"found {found}")
+
+    for bench, where, field, predicate, description in spec["checks"]:
+        scope = bench + (f" {json.dumps(where)}" if where else "")
+        matched = [(number, line) for number, line in lines
+                   if line.get("bench") == bench and
+                   all(line.get(k) == v for k, v in (where or {}).items())]
+        if not matched:
+            failures.append(f"no {scope} line to check {field} on")
+        for number, line in matched:
             if field not in line:
                 failures.append(f"line {number}: missing {field}")
             elif not predicate(line[field]):

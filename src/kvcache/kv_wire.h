@@ -10,14 +10,17 @@
 // that continues generation bit-identically to the single-node engine
 // (pinned in tests/test_kv_wire.cpp; contract in docs/disaggregation.md).
 //
-// Layout (all integers little-endian):
+// Layout of the full-state blob, version 2 (all integers little-endian):
 //
 //   header   magic "HKVW" u32 · version u32 · layers u32 · kv_heads u32 ·
 //            query_heads u32 · d_head u32 · pi u32 ·
 //            q_bits u8 · kv_bits u8 · flags u8 (bit0 SE, bit1 RQE,
 //            bit2 stochastic rounding) · reserved u8 ·
-//            tokens u64 · payload_bytes u64
-//   body     layers × kv_heads head records, layer-major:
+//            tokens u64 · payload_bytes u64   (the 48-byte base header) ·
+//            header_crc u32 — CRC32C over the preceding bytes
+//   body     layers × kv_heads head records, layer-major, each preceded by
+//            record_bytes u64 · record_crc u32 (the CRC covers the record
+//            payload, which is only *parsed* after the checksum matches):
 //     rng    4 × u64                      xoshiro256** state after prefill
 //     K      packed codes (kv_bits × tokens·d_head) ·
 //            mins, scales (binary16 × tokens·(d_head/Π)) ·
@@ -30,20 +33,13 @@
 //            group, RQE off) · rows u64 · payload (binary16 × rows·d_head,
 //            or packed codes + per-column binary16 (min, scale))
 //
-// Version 2 adds integrity framing so a corrupted or truncated blob is a
-// *typed error* at the receiver, never UB:
-//
-//   header   as v1, then header_crc u32 — CRC32C over the preceding bytes
-//   record   each (layer × KV head) record is preceded by
-//            record_bytes u64 · record_crc u32; the CRC covers the record
-//            payload, which is only *parsed* after the checksum matches.
-//
-// A v2 reader still accepts v1 blobs (PR 5's bytes) with the CRC checks
-// skipped — the compatibility path is pinned in tests/test_kv_wire.cpp.
-// Deserialization failures throw KvWireError with a precise KvWireErrorCode
-// (bad magic / version / geometry / CRC / truncation / malformed section);
-// the disagg recovery layer (serving/disagg.h) catches kBadCrc to drive
-// full-blob retransmission.
+// The CRC framing makes a corrupted or truncated blob a *typed error* at the
+// receiver, never UB. Version 1 (the same bytes without any CRC) is neither
+// read nor written: blobs only live in memory between workers of one build,
+// so a v1 header fails with kBadVersion. Deserialization failures throw
+// KvWireError with a precise KvWireErrorCode (bad magic / version /
+// geometry / CRC / truncation / malformed section); the disagg recovery
+// layer (serving/fleet.h) catches kBadCrc to drive full-blob retransmission.
 //
 // Version 3 is the *delta* format — a mid-decode checkpoint. It carries only
 // what changed since a base sequence position (the blob a prefill worker
@@ -54,8 +50,9 @@
 // row-major store; V metadata is column-outer, so the delta gathers each
 // column's new groups and apply_kv_delta re-interleaves them. Layout:
 //
-//   header   as v1 (version 3, tokens = total at the checkpoint), then
-//            base_tokens u64 · header_crc u32 (CRC32C over all prior bytes)
+//   header   the 48-byte base header (version 3, tokens = total at the
+//            checkpoint), then base_tokens u64 · header_crc u32 (CRC32C
+//            over all prior bytes)
 //   suffix   one CRC-framed record: count u64 · next_token u32 ·
 //            count × token u32 — the greedy tokens decoded since the base,
 //            plus the already-computed next input token
@@ -64,7 +61,7 @@
 //     K      packed codes, mins/scales, [SE] sums for rows [base, tokens)
 //     V      new_v_rows u64 (multiple of Π) · packed codes ·
 //            per-column gathered mins/scales ([SE] sums) of the new groups
-//     tail   the full current tail, exactly as v1/v2 encode it (replace)
+//     tail   the full current tail, exactly as v2 encodes it (replace)
 //
 // apply_kv_delta rehydrates a state currently holding exactly base_tokens
 // into the checkpointed state, bit-identical to a full-blob restore of the
@@ -92,9 +89,6 @@ class TinyModelSession;
 
 inline constexpr std::uint32_t kKvWireMagic = 0x57564B48u;  // "HKVW"
 inline constexpr std::uint32_t kKvWireVersion = 2u;
-// PR 5's CRC-less format; the reader keeps accepting it (writers can emit it
-// through serialize_kv_wire's `version` parameter for compatibility tests).
-inline constexpr std::uint32_t kKvWireVersionLegacy = 1u;
 // The incremental-checkpoint format: only entries appended since a base
 // position. Written by serialize_kv_delta, consumed by apply_kv_delta;
 // deserialize_kv_wire rejects it with a typed kBadVersion error.
@@ -106,10 +100,10 @@ inline constexpr std::uint32_t kKvWireVersionDelta = 3u;
 // undefined behavior or an untyped assert.
 enum class KvWireErrorCode {
   kBadMagic,      // not a HACK KV wire blob
-  kBadVersion,    // version field is not v1/v2/v3, or a delta blob reached
+  kBadVersion,    // version field is not v2/v3, or a delta blob reached
                   // the full-restore path (and vice versa)
   kBadGeometry,   // header geometry/config disagrees with the target states
-  kBadCrc,        // header or record checksum mismatch (v2 only)
+  kBadCrc,        // header or record checksum mismatch
   kTruncated,     // blob shorter than its framing claims
   kTrailingBytes, // blob longer than its framing claims
   kBadSection,    // a section field violates a format invariant
@@ -160,30 +154,27 @@ struct KvWireInfo {
   bool stochastic_rounding = false;
   std::uint64_t tokens = 0;
   std::uint64_t payload_bytes = 0;
-  // v3 only: the sequence position the delta applies at (0 for v1/v2).
+  // v3 only: the sequence position the delta applies at (0 for v2).
   std::uint64_t base_tokens = 0;
-  std::size_t header_bytes = 0;  // 48 (v1), 52 (v2, incl. header_crc), or
-                                 // 60 (v3, incl. base_tokens + header_crc)
+  std::size_t header_bytes = 0;  // 52 (v2, incl. header_crc) or 60 (v3,
+                                 // incl. base_tokens + header_crc)
 };
 
 // Serializes the given layers' KV states (one HackLayerKvState per
 // transformer layer, all sharing one config and token count) into a wire
-// blob. `sections` (optional) receives the byte accounting. `version` picks
-// the wire format: v2 (default, CRC-framed) or v1 (PR 5's CRC-less bytes,
-// kept writable so the compatibility read path stays testable).
+// v2 blob. `sections` (optional) receives the byte accounting.
 std::vector<std::uint8_t> serialize_kv_wire(
     std::span<HackLayerKvState* const> layers,
-    KvWireSections* sections = nullptr,
-    std::uint32_t version = kKvWireVersion);
+    KvWireSections* sections = nullptr);
 
-// Validates and parses the fixed header — including the v2 header CRC.
+// Validates and parses the fixed header — including its CRC.
 // Throws KvWireError on a foreign, corrupted, or truncated blob.
 KvWireInfo parse_kv_wire_header(std::span<const std::uint8_t> blob);
 
 // Rehydrates `layers` (fresh, zero-token states whose config and geometry
 // must match the header) from a blob. Codes, metadata, sums, tails, and RNG
 // stream positions land exactly as shipped. Every record's CRC is verified
-// (v2) before its bytes are interpreted; any corruption or truncation throws
+// before its bytes are interpreted; any corruption or truncation throws
 // KvWireError with the matching code.
 void deserialize_kv_wire(std::span<const std::uint8_t> blob,
                          std::span<HackLayerKvState* const> layers);
@@ -227,8 +218,7 @@ KvDeltaSuffix apply_kv_delta(std::span<const std::uint8_t> blob,
 // far tier and resume rehydrates it, with KvWireSections giving the
 // per-section byte accounting the tier's swap counters report.
 std::vector<std::uint8_t> serialize_session_kv(
-    TinyModelSession& session, KvWireSections* sections = nullptr,
-    std::uint32_t version = kKvWireVersion);
+    TinyModelSession& session, KvWireSections* sections = nullptr);
 void deserialize_session_kv(std::span<const std::uint8_t> blob,
                             TinyModelSession& session);
 

@@ -24,37 +24,6 @@ void maybe_crash(std::map<std::size_t, std::size_t>& crashes,
   }
 }
 
-// Worst-case block reservation, like the engine's admission control: the
-// blob's prompt tokens plus every token the request may yet append. Held for
-// the decode's lifetime and released on every exit — record CRC failures and
-// scripted crashes included — so a retry sees a clean pool. A null pool (no
-// admission control) admits everything.
-class BlockReservation {
- public:
-  BlockReservation(BlockAllocator* pool, std::size_t need) : pool_(pool) {
-    if (pool_ == nullptr) {
-      admitted_ = true;
-      return;
-    }
-    if (!pool_->can_allocate(need)) return;
-    for (std::size_t i = 0; i < need; ++i) ids_.push_back(pool_->allocate());
-    admitted_ = true;
-  }
-  ~BlockReservation() {
-    for (const BlockId id : ids_) pool_->release(id);
-  }
-  BlockReservation(const BlockReservation&) = delete;
-  BlockReservation& operator=(const BlockReservation&) = delete;
-
-  bool admitted() const { return admitted_; }
-  std::size_t blocks() const { return ids_.size(); }
-
- private:
-  BlockAllocator* pool_;
-  std::vector<BlockId> ids_;
-  bool admitted_ = false;
-};
-
 // The continuation of TinyTransformer::generate after its prefill, shared by
 // the decode worker and the prefill worker's local fallback so both paths
 // are bit-identical by construction: same eos/max semantics, same per-step
@@ -203,16 +172,7 @@ PrefillWorker::LocalDecode PrefillWorker::local_decode(
 DecodeWorker::DecodeWorker(std::shared_ptr<const TinyModelWeights> weights,
                            const DisaggConfig& config, std::string name)
     : weights_(std::move(weights)), config_(config), name_(std::move(name)),
-      nic_(config.decode_nic_gbps) {
-  if (config_.decode_kv_blocks > 0) {
-    // Accounting blocks sized like the serving engine's: FP16 K+V bytes of
-    // block_tokens tokens across all layers and KV heads.
-    const TinyConfig& c = weights_->config();
-    allocator_ = std::make_unique<BlockAllocator>(
-        config_.decode_kv_blocks,
-        config_.block_tokens * c.kv_heads * c.d_head * 2 * 2 * c.layers);
-  }
-}
+      nic_(config.decode_nic_gbps) {}
 
 void DecodeWorker::inject_crash(std::size_t request_index, std::size_t times) {
   crashes_[request_index] += times;
@@ -230,8 +190,8 @@ std::size_t DecodeWorker::blocks_needed(std::size_t blob_tokens,
          config_.block_tokens;
 }
 
-std::size_t DecodeWorker::free_kv_blocks() const {
-  return allocator_ == nullptr ? SIZE_MAX : allocator_->blocks_free();
+std::size_t DecodeWorker::kv_capacity_blocks() const {
+  return config_.decode_kv_blocks == 0 ? SIZE_MAX : config_.decode_kv_blocks;
 }
 
 DecodeWorker::Result DecodeWorker::decode(std::span<const std::uint8_t> blob,
@@ -258,13 +218,8 @@ DecodeWorker::Result DecodeWorker::run(std::span<const std::uint8_t> base_blob,
   maybe_crash(crashes_, request_index, name_);
   Result result;
   // Integrity gate: the header parse throws KvWireError on a corrupted or
-  // truncated blob before any admission state is touched.
+  // truncated blob before a session is built.
   const KvWireInfo info = parse_kv_wire_header(base_blob);
-  const BlockReservation reservation(
-      allocator_.get(), blocks_needed(info.tokens, request.max_new_tokens));
-  if (!reservation.admitted()) return result;
-  result.admitted = true;
-  result.kv_blocks = reservation.blocks();
 
   const auto deser_start = std::chrono::steady_clock::now();
   TinyModelSession session(

@@ -9,12 +9,14 @@
 //                   TinyModelSession, emits the first token, and serializes
 //                   the per-layer HACK KV state into a KV wire blob
 //                   (kvcache/kv_wire.h) — every byte measured, not modeled.
-//   DecodeWorker    reserves KV blocks from its own BlockAllocator pool,
-//                   rehydrates the blob into a fresh session, and decodes to
-//                   completion. The codes on the wire are the codes
-//                   attention consumes — nothing is dequantized or
-//                   requantized in the handoff, so generation is
-//                   bit-identical to the single-node engine (pinned in
+//   DecodeWorker    rehydrates the blob into a fresh session and decodes to
+//                   completion. Its only admission state is a block
+//                   capacity: the engine admits a blob when the request's
+//                   worst-case need fits it (decodes run one at a time, so
+//                   nothing else is ever resident). The codes on the wire
+//                   are the codes attention consumes — nothing is
+//                   dequantized or requantized in the handoff, so generation
+//                   is bit-identical to the single-node engine (pinned in
 //                   tests/test_kv_wire.cpp).
 //
 // The engine that drives them is FleetEngine (serving/fleet.h); the
@@ -38,7 +40,6 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "kvcache/block_allocator.h"
 #include "kvcache/kv_wire.h"
 #include "model/session.h"
 #include "netsim/fault.h"
@@ -52,24 +53,29 @@ namespace hack {
 // full-blob retransmits, worker restarts.
 struct RetryPolicy {
   std::size_t max_retries = 3;
-  // Backoff before recovery round k (0-based): base · mult^k · (1 + jitter·u)
-  // with u drawn from a *per-request* seeded Rng — deterministic per run.
-  // Each request's jitter stream is derived from (jitter_seed, arrival-order
-  // index) via retry_jitter_rng, so two requests retrying concurrently on
-  // different links draw independent, replayable streams: injecting a fault
-  // into one request never shifts another request's backoff draws
-  // (seed-derivation rule in docs/robustness.md).
-  double backoff_base_s = 1e-3;
-  double backoff_mult = 2.0;
-  double backoff_jitter = 0.5;
+  // Backoff before recovery round k (0-based): kRetryBackoffBaseS ·
+  // kRetryBackoffMult^k · (1 + kRetryBackoffJitter·u) with u drawn from a
+  // *per-request* seeded Rng — deterministic per run. Each request's jitter
+  // stream is derived from (jitter_seed, arrival-order index) via
+  // retry_jitter_rng, so two requests retrying concurrently on different
+  // links draw independent, replayable streams: injecting a fault into one
+  // request never shifts another request's backoff draws (seed-derivation
+  // rule in docs/robustness.md).
   std::uint64_t jitter_seed = 0xB0FF;
   // Wall of simulated time from the first transfer attempt's start to full
   // delivery; exceeded → deadline miss → fallback. 0 disables.
   double transfer_deadline_s = 0.0;
   // Degrade to prefill-worker-local decode instead of dropping the request
-  // when retries exhaust / the deadline passes / the decode pool rejects.
+  // when retries exhaust / the deadline passes / no decode worker's capacity
+  // can hold it.
   bool fallback_local = true;
 };
+
+// The backoff schedule's constants (RetryPolicy): 1 ms, doubling per round,
+// stretched by up to 50% jitter.
+inline constexpr double kRetryBackoffBaseS = 1e-3;
+inline constexpr double kRetryBackoffMult = 2.0;
+inline constexpr double kRetryBackoffJitter = 0.5;
 
 // The per-request backoff-jitter stream: jitter_seed mixed with the request's
 // arrival-order index through the splitmix64 finalizer (index 0 keeps the
@@ -92,8 +98,9 @@ struct DisaggConfig {
   double decode_nic_gbps = 100.0;
   // Pipelining granularity of the transfer (kv_wire_transfer_chunks).
   std::size_t transfer_chunk_bytes = 1 << 20;
-  // Decode-side KV block admission: tokens per accounting block, and the
-  // pool size (0 = unlimited, no admission control).
+  // Decode-side KV admission: tokens per accounting block, and the worker's
+  // capacity in blocks (0 = unlimited, no admission control). A request is
+  // admitted when blocks_needed(prompt, max_new) fits the capacity.
   std::size_t block_tokens = 16;
   std::size_t decode_kv_blocks = 0;
   // Fault injection on the transfer path (default: a perfect wire) and the
@@ -149,7 +156,8 @@ struct DisaggRecord {
   KvWireSections sections;         // per-section byte accounting
   std::size_t fp16_kv_bytes = 0;   // FP16 K+V footprint of the same tokens
   std::size_t prefill_chunks = 0;
-  std::size_t decode_kv_blocks = 0;
+  std::size_t decode_kv_blocks = 0;  // worst-case block need the decode
+                                     // worker admitted (0: decoded locally)
 
   double prefill_s = 0.0;          // measured compute
   double serialize_s = 0.0;        // measured
@@ -244,9 +252,7 @@ class PrefillWorker {
 class DecodeWorker {
  public:
   struct Result {
-    bool admitted = false;
-    std::vector<int> generated;  // first token included when admitted
-    std::size_t kv_blocks = 0;
+    std::vector<int> generated;  // first token included
     double deserialize_s = 0.0;  // measured rehydration (base + delta apply)
     double decode_s = 0.0;       // measured model compute, checkpoint
                                  // capture time excluded
@@ -259,14 +265,13 @@ class DecodeWorker {
 
   const std::string& name() const { return name_; }
 
-  // Admission preflight for load-aware dispatch: worst-case block need of a
-  // request (prompt tokens already in the blob + every token it may append),
-  // and the pool's current headroom (SIZE_MAX when admission control is off).
-  // decode() still re-checks — the preflight is advisory, the reservation is
-  // the word.
+  // Admission: the worst-case block need of a request (prompt tokens already
+  // in the blob + every token it may append), and the worker's capacity in
+  // blocks (SIZE_MAX when admission control is off). The engine admits a
+  // request on a worker when need <= capacity; decode() itself never rejects.
   std::size_t blocks_needed(std::size_t blob_tokens,
                             std::size_t max_new_tokens) const;
-  std::size_t free_kv_blocks() const;
+  std::size_t kv_capacity_blocks() const;
 
   // Throws WorkerCrash on a scripted crash (the buffered blob is lost with
   // the worker — recovery needs a full retransmit), MidDecodeCrash on a
@@ -283,8 +288,7 @@ class DecodeWorker {
   // Crash-resume: rehydrate the base blob, apply the latest delta
   // checkpoint (replaying its decoded-token suffix), and continue the decode
   // loop mid-stride — bit-identical to the uninterrupted run, with at most
-  // checkpoint-window tokens recomputed. Admission re-reserves the same
-  // worst-case blocks decode() would.
+  // checkpoint-window tokens recomputed.
   Result resume(std::span<const std::uint8_t> base_blob,
                 std::span<const std::uint8_t> delta_blob,
                 const ServingRequest& request, std::size_t request_index = 0,
@@ -299,7 +303,6 @@ class DecodeWorker {
                              std::size_t token_index);
 
   Nic& nic() { return nic_; }
-  const BlockAllocator* allocator() const { return allocator_.get(); }
 
  private:
   // decode() and resume() share everything but the start state: a fresh
@@ -314,7 +317,6 @@ class DecodeWorker {
   DisaggConfig config_;
   std::string name_;
   Nic nic_;
-  std::unique_ptr<BlockAllocator> allocator_;  // null: no admission control
   std::map<std::size_t, std::size_t> crashes_;
   std::map<std::size_t, std::size_t> mid_crashes_;  // index → token count
 };

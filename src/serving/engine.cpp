@@ -244,7 +244,7 @@ void ServingEngine::execute_step(const StepPlan& plan) {
   // Every dense row is computed on its own, so stacking is bit-identical
   // to running each lane alone.
   const std::size_t n_layers = weights_->config().layers;
-  const bool fused = config_.fused_attention && n_layers > 0 &&
+  const bool fused = n_layers > 0 &&
                      running_[lanes[0].run_idx]
                              ->session->backend(0)
                              .hack_state() != nullptr;

@@ -13,7 +13,8 @@
 //            append   per-sequence RoPE + KV append          (pool tasks)
 //            attend   all sequences' heads in ONE batched launch
 //                     (MultiAttendBatch) when the backends are batched HACK
-//                     layers; per-sequence attends otherwise (pool tasks)
+//                     layers (LayerBackend::hack_state is non-null);
+//                     per-sequence attends otherwise (pool tasks)
 //            Wo/MLP   Wo + residual + SwiGLU over the stacked block
 //          logits + greedy argmax for emitting sequences, bookkeeping
 //
@@ -71,9 +72,6 @@ struct ServingEngineConfig {
   SchedulerConfig scheduler;
   // Pool convention: 0 = auto (all shared-pool lanes), 1 = serial, N = cap.
   int threads = 0;
-  // Fuse all sequences' layer attends into one MultiAttendBatch launch when
-  // the backends expose a HackLayerKvState; per-sequence attends otherwise.
-  bool fused_attention = true;
 };
 
 // One tier transition, in engine-schedule order. The sequence of events is

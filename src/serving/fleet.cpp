@@ -42,11 +42,10 @@ void corrupt_range(std::vector<std::uint8_t>& wire, const ChunkRange& range,
 
 // One backoff wait: base · mult^round · (1 + jitter · u) with u drawn from
 // the request's jitter stream (retry_jitter_rng).
-double retry_backoff_s(const RetryPolicy& policy, std::size_t round,
-                       Rng& jitter) {
-  double backoff = policy.backoff_base_s;
-  for (std::size_t i = 0; i < round; ++i) backoff *= policy.backoff_mult;
-  return backoff * (1.0 + policy.backoff_jitter * jitter.next_double());
+double retry_backoff_s(std::size_t round, Rng& jitter) {
+  double backoff = kRetryBackoffBaseS;
+  for (std::size_t i = 0; i < round; ++i) backoff *= kRetryBackoffMult;
+  return backoff * (1.0 + kRetryBackoffJitter * jitter.next_double());
 }
 
 // Sums one request's counters into the report. Every request passes here
@@ -288,20 +287,15 @@ FaultStats FleetEngine::fault_ledger() const {
 }
 
 WorkerSnapshot FleetEngine::snapshot(const WorkerBook& book, std::size_t index,
-                                     double t,
-                                     std::size_t free_blocks) const {
+                                     double t, std::size_t kv_blocks) const {
   WorkerSnapshot s;
   s.index = index;
   s.health = book.health.state;
   s.free_at_s = book.free_s;
   for (const Commitment& c : book.commitments) {
-    if (c.until_s > t) {
-      s.outstanding_bytes += c.bytes;
-      ++s.active_requests;
-    }
+    if (c.until_s > t) s.outstanding_bytes += c.bytes;
   }
-  s.served_requests = book.served;
-  s.free_kv_blocks = free_blocks;
+  s.free_kv_blocks = kv_blocks;
   return s;
 }
 
@@ -342,9 +336,9 @@ std::size_t FleetEngine::pick_decode(const DispatchContext& context,
     WorkerBook& book = decode_book_[j];
     book.health.refresh(t, config_.health);
     if (book.health.state == WorkerHealth::kDown) continue;
-    const std::size_t free = decode_[j]->free_kv_blocks();
-    if (context.need_kv_blocks > free) continue;  // pool cannot admit
-    candidates.push_back(snapshot(book, j, t, free));
+    const std::size_t capacity = decode_[j]->kv_capacity_blocks();
+    if (context.need_kv_blocks > capacity) continue;  // can never admit
+    candidates.push_back(snapshot(book, j, t, capacity));
   }
   if (candidates.empty()) return kNoWorker;
   // Probe-then-readmit, as in pick_prefill: a recovering worker gets the
@@ -376,11 +370,6 @@ double FleetEngine::earliest_recovery(
   return best;
 }
 
-std::size_t FleetEngine::decode_pool_capacity(std::size_t j) const {
-  const BlockAllocator* pool = decode_[j]->allocator();
-  return pool == nullptr ? SIZE_MAX : pool->num_blocks();
-}
-
 // One request's state across run()'s phases: its record (whose retry count
 // is the spent budget), jitter stream, the blob, the transfer timeline, the
 // checkpoint store, and the decode outcome. It lives on run()'s stack for
@@ -399,7 +388,7 @@ struct FleetEngine::RequestState {
   // budget is exhausted.
   bool retry_round(double from, double& ready_at) {
     if (rec.d.retries >= policy.max_retries) return false;
-    const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
+    const double wait = retry_backoff_s(rec.d.retries, jitter);
     ++rec.d.retries;
     rec.d.backoff_s += wait;
     ready_at = from + wait;
@@ -413,8 +402,6 @@ struct FleetEngine::RequestState {
 
   DispatchContext context() const {
     DispatchContext ctx;
-    ctx.request_index = index;
-    ctx.prompt_tokens = request.prompt.size();
     ctx.need_kv_blocks = need_kv_blocks;
     return ctx;
   }
@@ -425,7 +412,7 @@ struct FleetEngine::RequestState {
   Rng jitter;
   FleetRecord rec;  // prefill_worker / decode_worker stay kNoWorker until
                     // a blob exists / a decode completed
-  std::size_t need_kv_blocks = 0;  // worst-case decode-pool need
+  std::size_t need_kv_blocks = 0;  // worst-case decode block need
 
   PrefillWorker::Result pre;  // the pristine blob, kept on its prefill worker
 
@@ -498,12 +485,8 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
         worker_stats(prefill_book_[i], prefill_[i]->name()));
   }
   for (std::size_t j = 0; j < decode_.size(); ++j) {
-    FleetWorkerStats s = worker_stats(decode_book_[j], decode_[j]->name());
-    if (decode_[j]->allocator() != nullptr) {
-      s.failed_allocations = decode_[j]->allocator()->failed_allocations();
-      s.min_free_watermark = decode_[j]->allocator()->min_free_watermark();
-    }
-    report.decode_workers.push_back(std::move(s));
+    report.decode_workers.push_back(
+        worker_stats(decode_book_[j], decode_[j]->name()));
   }
   return report;
 }
@@ -514,14 +497,15 @@ bool FleetEngine::prefill_phase(RequestState& s) {
   const HealthPolicy& hp = config_.health;
 
   // Fleet-wide admission preflight: a request whose worst-case block need
-  // exceeds every decode pool can never be served disaggregated — shed it
-  // now (reject outright, or mark it for the local-decode path) instead of
-  // burning transfer retries discovering the same thing.
+  // exceeds every decode worker's capacity can never be served
+  // disaggregated — shed it now (reject outright, or mark it for the
+  // local-decode path) instead of burning transfer retries discovering the
+  // same thing.
   s.need_kv_blocks = decode_[0]->blocks_needed(request.prompt.size(),
                                                request.max_new_tokens);
   bool fits_somewhere = false;
   for (std::size_t j = 0; j < decode_.size(); ++j) {
-    if (s.need_kv_blocks <= decode_pool_capacity(j)) {
+    if (s.need_kv_blocks <= decode_[j]->kv_capacity_blocks()) {
       fits_somewhere = true;
       break;
     }
@@ -695,7 +679,7 @@ void FleetEngine::decode_phase(RequestState& s) {
       double recover = std::numeric_limits<double>::infinity();
       for (std::size_t j = 0; j < decode_.size(); ++j) {
         if (decode_book_[j].health.state == WorkerHealth::kDown &&
-            s.need_kv_blocks <= decode_pool_capacity(j)) {
+            s.need_kv_blocks <= decode_[j]->kv_capacity_blocks()) {
           recover = std::min(recover, decode_book_[j].health.down_since_s +
                                           hp.down_cooldown_s);
         }
@@ -726,17 +710,16 @@ void FleetEngine::decode_phase(RequestState& s) {
     }
     // Proactive drain decision: the handoff's link faults may have marked
     // this worker suspect *after* dispatch picked it healthy. If a healthy
-    // replica with pool headroom exists, let the worker decode only to its
-    // first checkpoint cut, then migrate the request there. Bounded: each
-    // drain needs a distinct healthy target, and workers only degrade
-    // within one request's routing loop.
+    // replica whose capacity holds the request exists, let the worker decode
+    // only to its first checkpoint cut, then migrate the request there.
+    // Bounded: each drain needs a distinct healthy target, and workers only
+    // degrade within one request's routing loop.
     s.drain_now = false;
-    if (config_.proactive_drain && s.sink &&
-        book.health.state == WorkerHealth::kSuspect) {
+    if (s.sink && book.health.state == WorkerHealth::kSuspect) {
       for (std::size_t j = 0; j < decode_.size(); ++j) {
         if (j != pick &&
             decode_book_[j].health.state == WorkerHealth::kHealthy &&
-            s.need_kv_blocks <= decode_[j]->free_kv_blocks()) {
+            s.need_kv_blocks <= decode_[j]->kv_capacity_blocks()) {
           s.drain_now = true;
           break;
         }
@@ -764,11 +747,6 @@ void FleetEngine::decode_phase(RequestState& s) {
                          : decode_[pick]->decode(wire, s.pre.first_token,
                                                  request, s.index, s.sink);
       book_checkpoints(s, pick);
-      if (!s.dec.admitted) {
-        // The reservation lost to the preflight — pool pressure; shed.
-        rec.shed = true;
-        break;
-      }
       if (resume_now) {
         ++rec.d.resumes;
         rec.d.tokens_replayed += s.dec.replayed_tokens;
@@ -839,7 +817,7 @@ void FleetEngine::finish_phase(RequestState& s) {
   if (rec.decode_worker != kNoWorker) {
     rec.d.deserialize_s = s.dec.deserialize_s;
     rec.d.decode_s = s.dec.decode_s;
-    rec.d.decode_kv_blocks = s.dec.kv_blocks;
+    rec.d.decode_kv_blocks = s.need_kv_blocks;
     rec.d.generated = std::move(s.dec.generated);
     WorkerBook& book = decode_book_[rec.decode_worker];
     first_token_at =

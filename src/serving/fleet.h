@@ -5,8 +5,8 @@
 // answer is *routing*: a dead decode worker is a reason to send the
 // already-serialized KV blob to a replica (rehydrate-elsewhere, never
 // re-prefill), a dead prefill worker a reason to re-dispatch the prompt to a
-// sibling, and a full decode pool a reason to shed load — FlowKV
-// (PAPERS.md) makes the case for treating KV-transfer health as a
+// sibling, and a request no decode worker can hold a reason to shed load —
+// FlowKV (PAPERS.md) makes the case for treating KV-transfer health as a
 // first-class scheduling input. The paper's single-pair deployment is the
 // 1×1 case of the same engine, so there is one recovery loop:
 //
@@ -31,8 +31,14 @@
 //               shape, running on real kv_wire blob sizes instead of the
 //               cluster simulator's modeled costs) picks a worker from the
 //               eligible snapshots — round-robin, least-outstanding-bytes,
-//               or free-KV-blocks-aware — and is consulted *again* on every
+//               or most-KV-blocks — and is consulted *again* on every
 //               failure, so failover is just dispatch with fresher health.
+//   Admission   decodes run one at a time, so a decode worker admits a
+//               request exactly when its worst-case block need
+//               (DecodeWorker::blocks_needed) fits the worker's capacity
+//               (DisaggConfig::decode_kv_blocks, or decode_pool_blocks
+//               below) — one rule for the preflight, dispatch, the
+//               recovery wait and the drain target.
 //   Failover    a decode crash mid-handoff re-routes the serialized blob to
 //               a replica over that replica's own link (a reroute, counted;
 //               the prompt is never recomputed — re_prefills_from_decode
@@ -49,16 +55,17 @@
 //               blob — re_prefills_from_decode stays zero even for
 //               mid-decode crashes.
 //   Drain       link faults during the handoff can mark a worker suspect
-//               after dispatch picked it healthy. With proactive_drain on,
-//               such a worker decodes only to its first checkpoint cut;
-//               the request then migrates live (resume from that cut) to a
-//               healthy replica rather than gambling the whole decode on
-//               failing hardware.
-//   Shedding    fleet-wide admission control: a request no decode pool can
-//               ever hold (or that exhausts its budget with every decode
-//               worker down) is shed — decoded locally on its prefill
-//               worker when RetryPolicy::fallback_local is on, rejected
-//               otherwise — never deadlocked on a full fleet.
+//               after dispatch picked it healthy. Such a worker decodes
+//               only to its first checkpoint cut; the request then migrates
+//               live (resume from that cut) to a healthy replica whose
+//               capacity holds it, rather than gambling the whole decode on
+//               failing hardware. Always on; it needs
+//               worker.checkpoint_every_tokens > 0 and such a replica.
+//   Shedding    fleet-wide admission control: a request that no decode
+//               worker's capacity can hold (or that exhausts its budget
+//               with every decode worker down) is shed — decoded locally on
+//               its prefill worker when RetryPolicy::fallback_local is on,
+//               rejected otherwise — never deadlocked on a full fleet.
 //
 // Every prefill worker owns a NIC, every decode worker owns a NIC, and every
 // (prefill, decode) link owns an independent seeded FaultModel
@@ -122,16 +129,13 @@ struct WorkerSnapshot {
   WorkerHealth health = WorkerHealth::kHealthy;
   double free_at_s = 0.0;            // compute busy horizon
   std::size_t outstanding_bytes = 0; // wire bytes routed here, still in service
-  std::size_t active_requests = 0;   // requests in flight on this worker
-  std::size_t served_requests = 0;
-  std::size_t free_kv_blocks = SIZE_MAX;  // decode pool headroom (SIZE_MAX:
-                                          // no admission control)
+  // Decode workers: the block capacity (SIZE_MAX: no admission control).
+  // Decodes run one at a time, so the whole capacity is free at dispatch.
+  std::size_t free_kv_blocks = SIZE_MAX;
 };
 
 struct DispatchContext {
-  std::size_t request_index = 0;  // arrival-order index
-  std::size_t prompt_tokens = 0;
-  std::size_t need_kv_blocks = 0;  // worst-case decode-pool need
+  std::size_t need_kv_blocks = 0;  // worst-case decode block need
   std::uint64_t rr_cursor = 0;     // engine-advanced per-pool rotation state
 };
 
@@ -170,16 +174,10 @@ struct FleetConfig {
   DispatchPolicyFn prefill_policy = &dispatch_round_robin;
   DispatchPolicyFn decode_policy = &dispatch_least_outstanding_bytes;
   HealthPolicy health;
-  // Per-decode-worker pool sizes (blocks). Empty: every worker gets
+  // Per-decode-worker capacities (blocks). Empty: every worker gets
   // worker.decode_kv_blocks. A heterogeneous fleet makes the
-  // free-KV-blocks-aware policy meaningful.
+  // most-KV-blocks policy meaningful.
   std::vector<std::size_t> decode_pool_blocks;
-  // Proactive drain: a decode worker that is suspect when its decode starts
-  // (the handoff's link faults demoted it after dispatch picked it) stops at
-  // its first checkpoint cut, and the request migrates live — resume from
-  // base + that cut — to a healthy replica with pool headroom. No effect
-  // unless worker.checkpoint_every_tokens > 0 and such a replica exists.
-  bool proactive_drain = true;
 };
 
 // Per-worker rollup for the report.
@@ -192,9 +190,6 @@ struct FleetWorkerStats {
   double utilization = 0.0;           // busy_s / fleet makespan
   WorkerHealth final_health = WorkerHealth::kHealthy;
   std::vector<HealthTransition> transitions;
-  // Decode pools only (0 when admission control is off).
-  std::size_t failed_allocations = 0;
-  std::size_t min_free_watermark = 0;
   // Decode only: requests this worker gave up at a checkpoint cut because
   // the engine drained it proactively while suspect.
   std::size_t drains = 0;
@@ -310,7 +305,7 @@ class FleetEngine {
   };
 
   // Bytes committed to a worker until their service completes on the
-  // timeline — what outstanding_bytes/active_requests snapshots count.
+  // timeline — what outstanding_bytes snapshots count.
   struct Commitment {
     double until_s = 0.0;
     std::size_t bytes = 0;
@@ -332,7 +327,7 @@ class FleetEngine {
   }
 
   WorkerSnapshot snapshot(const WorkerBook& book, std::size_t index, double t,
-                          std::size_t free_blocks) const;
+                          std::size_t kv_blocks) const;
   // Builds the eligible candidate set at time t and consults the policy.
   // Returns kNoWorker when no worker is eligible.
   std::size_t pick_prefill(const DispatchContext& context, double t);
@@ -340,7 +335,6 @@ class FleetEngine {
   // Earliest instant a down worker in `books` becomes recovering (infinity
   // when none is down).
   double earliest_recovery(const std::vector<WorkerBook>& books) const;
-  std::size_t decode_pool_capacity(std::size_t j) const;
 
   // run() serves each request through these phases, in order; every
   // recovery round of every phase spends the request's one retry budget.

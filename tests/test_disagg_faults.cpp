@@ -10,9 +10,10 @@
 // does not exhaust the retry budget, every request completes with a token
 // stream bit-identical to the fault-free run, and the report's fault counters
 // equal the FaultModel's injection ledger exactly. When the budget does
-// exhaust (or the deadline passes, or the decode pool rejects), the request
-// degrades to a local decode on the prefill worker — still bit-identical,
-// because the fallback rehydrates the same blob the wire would have carried.
+// exhaust (or the deadline passes, or the request exceeds the decode
+// worker's block capacity), the request degrades to a local decode on the
+// prefill worker — still bit-identical, because the fallback rehydrates the
+// same blob the wire would have carried.
 #include <gtest/gtest.h>
 
 #include "model/tiny_transformer.h"
@@ -316,7 +317,7 @@ TEST(DisaggFaults, PrefillCrashExhaustionRejectsOutright) {
 
 // ------------------------------------------------------------------ accounting
 
-TEST(DisaggFaults, ReportSurfacesDecodePoolPressure) {
+TEST(DisaggFaults, RecordsDecodeBlockNeedWithinCapacity) {
   const auto weights = small_weights();
   DisaggConfig dc = base_config();
   dc.block_tokens = 16;
@@ -324,16 +325,20 @@ TEST(DisaggFaults, ReportSurfacesDecodePoolPressure) {
   const auto reqs = make_requests(3, 64);
 
   FleetEngine engine(weights, single_pair(dc));
+  EXPECT_EQ(engine.decode_worker(0).kv_capacity_blocks(), 8u);
   const FleetReport report = engine.run(reqs);
-  const BlockAllocator* pool = engine.decode_worker(0).allocator();
-  ASSERT_NE(pool, nullptr);
-  const FleetWorkerStats& decode = report.decode_workers[0];
-  EXPECT_EQ(decode.failed_allocations, pool->failed_allocations());
-  EXPECT_EQ(decode.min_free_watermark, pool->min_free_watermark());
-  // Requests decoded one at a time: the watermark shows the deepest single
-  // reservation, and everything was released afterwards.
-  EXPECT_LT(decode.min_free_watermark, 8u);
-  EXPECT_EQ(pool->blocks_in_use(), 0u);
+  ASSERT_EQ(report.requests.size(), reqs.size());
+  // Requests decoded one at a time, each admitted on its worst-case need
+  // (prompt + max_new tokens in 16-token blocks), which the capacity holds.
+  for (const FleetRecord& rec : report.requests) {
+    const ServingRequest& r = rec.d.request;
+    EXPECT_EQ(rec.decode_worker, 0u);
+    EXPECT_FALSE(rec.d.fallback_local);
+    EXPECT_EQ(rec.d.decode_kv_blocks,
+              (r.prompt.size() + r.max_new_tokens + 15) / 16);
+    EXPECT_GT(rec.d.decode_kv_blocks, 0u);
+    EXPECT_LE(rec.d.decode_kv_blocks, 8u);
+  }
 }
 
 TEST(DisaggFaults, BackoffIsDeterministicPerSeed) {

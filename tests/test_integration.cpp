@@ -7,7 +7,6 @@
 #include "attention/hack_attention.h"
 #include "base/check.h"
 #include "cluster/simulator.h"
-#include "metrics/text_metrics.h"
 #include "model/tiny_transformer.h"
 #include "workload/corpus.h"
 #include "workload/trace.h"

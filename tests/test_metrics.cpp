@@ -6,71 +6,9 @@
 
 #include "metrics/report.h"
 #include "metrics/stats.h"
-#include "metrics/text_metrics.h"
 
 namespace hack {
 namespace {
-
-TEST(Rouge1, IdenticalSequencesScoreOne) {
-  const std::vector<int> s = {1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(rouge1_f1(s, s), 1.0);
-}
-
-TEST(Rouge1, DisjointSequencesScoreZero) {
-  EXPECT_DOUBLE_EQ(rouge1_f1({1, 2}, {3, 4}), 0.0);
-}
-
-TEST(Rouge1, KnownOverlap) {
-  // candidate {1,2,3}, reference {2,3,4,5}: overlap 2,
-  // precision 2/3, recall 2/4 -> F1 = 2*(2/3)*(1/2)/(2/3+1/2) = 4/7.
-  EXPECT_NEAR(rouge1_f1({1, 2, 3}, {2, 3, 4, 5}), 4.0 / 7.0, 1e-12);
-}
-
-TEST(Rouge1, ClippedCounts) {
-  // Repeating a token in the candidate cannot inflate overlap past the
-  // reference count: overlap 1, precision 1/4, recall 1/4 -> F1 = 1/4.
-  EXPECT_NEAR(rouge1_f1({7, 7, 7, 7}, {7, 1, 2, 3}), 0.25, 1e-12);
-}
-
-TEST(Rouge1, EmptyEdgeCases) {
-  EXPECT_DOUBLE_EQ(rouge1_f1({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(rouge1_f1({}, {1}), 0.0);
-  EXPECT_DOUBLE_EQ(rouge1_f1({1}, {}), 0.0);
-}
-
-TEST(EditDistance, KnownValues) {
-  EXPECT_EQ(edit_distance({1, 2, 3}, {1, 2, 3}), 0u);
-  EXPECT_EQ(edit_distance({1, 2, 3}, {1, 3}), 1u);        // delete
-  EXPECT_EQ(edit_distance({1, 3}, {1, 2, 3}), 1u);        // insert
-  EXPECT_EQ(edit_distance({1, 2, 3}, {1, 9, 3}), 1u);     // substitute
-  EXPECT_EQ(edit_distance({}, {1, 2, 3}), 3u);
-  // "kitten" -> "sitting" classic: 3.
-  EXPECT_EQ(edit_distance({'k', 'i', 't', 't', 'e', 'n'},
-                          {'s', 'i', 't', 't', 'i', 'n', 'g'}),
-            3u);
-}
-
-TEST(EditDistance, SymmetryAndTriangle) {
-  const std::vector<int> a = {1, 2, 3, 4, 5};
-  const std::vector<int> b = {2, 3, 4, 6};
-  const std::vector<int> c = {9, 2, 3};
-  EXPECT_EQ(edit_distance(a, b), edit_distance(b, a));
-  EXPECT_LE(edit_distance(a, c),
-            edit_distance(a, b) + edit_distance(b, c));
-}
-
-TEST(EditSimilarity, NormalizedToUnitInterval) {
-  EXPECT_DOUBLE_EQ(edit_similarity({1, 2, 3}, {1, 2, 3}), 1.0);
-  EXPECT_DOUBLE_EQ(edit_similarity({1, 2}, {3, 4}), 0.0);
-  EXPECT_DOUBLE_EQ(edit_similarity({}, {}), 1.0);
-  EXPECT_NEAR(edit_similarity({1, 2, 3, 4}, {1, 2, 3, 9}), 0.75, 1e-12);
-}
-
-TEST(PrefixAgreement, MeasuresDivergencePoint) {
-  EXPECT_DOUBLE_EQ(prefix_agreement({1, 2, 3, 4}, {1, 2, 9, 9}), 0.5);
-  EXPECT_DOUBLE_EQ(prefix_agreement({1, 2}, {1, 2}), 1.0);
-  EXPECT_DOUBLE_EQ(prefix_agreement({9}, {1, 2}), 0.0);
-}
 
 TEST(Stats, KnownDistribution) {
   std::vector<double> xs;

@@ -208,6 +208,25 @@ TEST(ServingEngine, MatchesSoloGenerateAcrossBackends) {
   }
 }
 
+// Forwards every call to a batched HACK layer backend but hides its
+// HackLayerKvState, so the engine takes the per-sequence attend path over
+// the very same kernels and state.
+class HiddenStateBackend : public LayerBackend {
+ public:
+  explicit HiddenStateBackend(std::unique_ptr<LayerBackend> inner)
+      : inner_(std::move(inner)) {}
+  void append(const Matrix& k_all, const Matrix& v_all) override {
+    inner_->append(k_all, v_all);
+  }
+  Matrix attend(const Matrix& q_all, std::size_t key_offset) override {
+    return inner_->attend(q_all, key_offset);
+  }
+  std::size_t stored_bytes() const override { return inner_->stored_bytes(); }
+
+ private:
+  std::unique_ptr<LayerBackend> inner_;
+};
+
 // The fused cross-sequence attention launch must not change any sequence's
 // tokens relative to per-sequence attends.
 TEST(ServingEngine, FusedAttentionMatchesUnfused) {
@@ -216,16 +235,22 @@ TEST(ServingEngine, FusedAttentionMatchesUnfused) {
   const FactoryMaker maker = [] {
     return make_hack_layer_backend(hack_config(), 7);
   };
+  const FactoryMaker hidden_maker = [] {
+    const LayerBackendFactory inner = make_hack_layer_backend(hack_config(), 7);
+    return LayerBackendFactory(
+        [inner](std::size_t d_head, std::size_t kv_heads,
+                std::size_t query_heads) -> std::unique_ptr<LayerBackend> {
+          return std::make_unique<HiddenStateBackend>(
+              inner(d_head, kv_heads, query_heads));
+        });
+  };
   const auto reqs = make_requests({{24, 10}, {17, 8}, {9, 12}}, cfg.vocab);
-  ServingEngineConfig fused, unfused;
-  fused.scheduler.prefill_chunk_tokens = 256;
-  unfused.scheduler.prefill_chunk_tokens = 256;
-  unfused.fused_attention = false;
+  ServingEngineConfig ec;
+  ec.scheduler.prefill_chunk_tokens = 256;
   ServingReport fused_report, unfused_report;
-  const auto a = run_engine(weights, maker, reqs, fused, nullptr,
-                            &fused_report);
-  const auto b = run_engine(weights, maker, reqs, unfused, nullptr,
-                            &unfused_report);
+  const auto a = run_engine(weights, maker, reqs, ec, nullptr, &fused_report);
+  const auto b =
+      run_engine(weights, hidden_maker, reqs, ec, nullptr, &unfused_report);
   EXPECT_EQ(a, b);
   EXPECT_GT(fused_report.engine.fused_attend_launches, 0u);
   EXPECT_EQ(unfused_report.engine.fused_attend_launches, 0u);
