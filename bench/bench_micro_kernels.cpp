@@ -8,9 +8,12 @@
 // blocked engine at 1 thread and at full parallelism, at prefill shapes —
 // the old-vs-new speedup lands in the bench trajectory as
 // {"bench":"hq_gemm_prefill","layout":...,"speedup_blocked_1t":...,...}.
-// A `dense_gemm` line per row count compares the model's dense projections
-// run per lane (one 1-row matmul per sequence) against one stacked GEMM on
-// packed weight panels.
+// The `hq_gemm_prefill` lines carry "threads":1, the leg bench_trend gates
+// (speedup_blocked_1t); the pool's lane count, which only the _mt leg uses,
+// is the non-key field "pool_lanes". A `dense_gemm` line per row count
+// compares the model's dense projections run per lane (one 1-row matmul per
+// sequence) against one stacked GEMM on packed weight panels, and names the
+// packed kernel's dispatch arm ("arm", not a match key).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -297,9 +300,9 @@ void print_hq_gemm_comparison_json() {
     std::printf(
         "{\"bench\":\"hq_gemm_prefill\",\"layout\":\"%s\",\"m\":%zu,"
         "\"n\":%zu,\"z\":%zu,\"pi\":%zu,\"a_bits\":8,\"b_bits\":2,"
-        "\"threads\":%zu,\"scalar_ms\":%.3f,\"blocked_1t_ms\":%.3f,"
-        "\"blocked_mt_ms\":%.3f,\"speedup_blocked_1t\":%.2f,"
-        "\"speedup_blocked_mt\":%.2f}\n",
+        "\"threads\":1,\"pool_lanes\":%zu,\"scalar_ms\":%.3f,"
+        "\"blocked_1t_ms\":%.3f,\"blocked_mt_ms\":%.3f,"
+        "\"speedup_blocked_1t\":%.2f,\"speedup_blocked_mt\":%.2f}\n",
         leg.layout, m, n, z, pi, lanes, scalar_ms, blocked_1t_ms,
         blocked_mt_ms, scalar_ms / blocked_1t_ms, scalar_ms / blocked_mt_ms);
   }
@@ -480,10 +483,11 @@ void print_dense_gemm_comparison_json() {
     }
     std::printf(
         "{\"bench\":\"dense_gemm\",\"m\":%zu,\"d_model\":%zu,"
-        "\"kv_dim\":%zu,\"d_ff\":%zu,\"threads\":1,\"per_lane_ms\":%.3f,"
-        "\"stacked_ms\":%.3f,\"speedup\":%.2f,\"bit_identical\":%s}\n",
-        m, d, kv, d_ff, per_lane_ms, stacked_ms, per_lane_ms / stacked_ms,
-        identical ? "true" : "false");
+        "\"kv_dim\":%zu,\"d_ff\":%zu,\"threads\":1,\"arm\":\"%s\","
+        "\"per_lane_ms\":%.3f,\"stacked_ms\":%.3f,\"speedup\":%.2f,"
+        "\"bit_identical\":%s}\n",
+        m, d, kv, d_ff, packed_arm_name(packed_matmul_arm()), per_lane_ms,
+        stacked_ms, per_lane_ms / stacked_ms, identical ? "true" : "false");
   }
   std::fflush(stdout);
 }

@@ -46,10 +46,12 @@ DISCRIMINATORS = (
 
 # Higher-is-better metrics to trend. Latency-style fields are deliberately
 # absent: tail latencies on shared CI runners are too noisy to gate on.
+# speedup_blocked_1t is hq_gemm_prefill's one-thread leg; its _mt twin
+# depends on the runner's lane count and is not trended.
 THROUGHPUT_KEYS = (
     "tokens_per_s", "decode_tokens_per_s", "prefill_tokens_per_s",
     "batched_tokens_per_s", "goodput_rps", "items_per_second",
-    "tokens_per_second", "speedup",
+    "tokens_per_second", "speedup", "speedup_blocked_1t",
 )
 
 

@@ -4,7 +4,6 @@
 
 #include "attention/layer_attention.h"
 #include "attention/reference.h"
-#include "base/thread_pool.h"
 #include "tensor/half.h"
 #include "tensor/ops.h"
 
@@ -296,7 +295,14 @@ TinyModelWeights::TinyModelWeights(const TinyConfig& config)
     }
     return w;
   };
-  embedding_ = Matrix::random_gaussian(config.vocab, d, rng, proj_std);
+  // The tied embedding is held once, as Eᵀ (d_model x vocab) on the packed
+  // GEMM's panels: token t's row, drawn in the same row-major Rng order, is
+  // column t, which the LM head multiplies and embed() gathers.
+  embedding_t_ = PackedMatrix(d, config.vocab);
+  for (std::size_t t = 0; t < config.vocab; ++t) {
+    embedding_t_.set_col(t,
+                         Matrix::random_gaussian(1, d, rng, proj_std).row(0));
+  }
   layers_.resize(config.layers);
   for (LayerWeights& lw : layers_) {
     lw.wq = draw(d, config.heads * config.d_head, proj_std);
@@ -319,62 +325,25 @@ Matrix TinyModelWeights::embed(const std::vector<int>& tokens) const {
     HACK_CHECK(tokens[t] >= 0 &&
                    static_cast<std::size_t>(tokens[t]) < config_.vocab,
                "token " << tokens[t] << " out of vocab");
-    const auto row = embedding_.row(static_cast<std::size_t>(tokens[t]));
-    std::copy(row.begin(), row.end(), x.row(t).begin());
+    embedding_t_.copy_col(static_cast<std::size_t>(tokens[t]), x.row(t));
   }
   return x;
 }
 
 std::vector<float> TinyModelWeights::logits(
     std::span<const float> hidden_row) const {
-  const auto normed = rms_norm(hidden_row, norm_final_);
-  std::vector<float> logits(config_.vocab);
-  for (std::size_t t = 0; t < config_.vocab; ++t) {
-    const auto row = embedding_.row(t);
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < normed.size(); ++c) {
-      acc += normed[c] * row[c];
-    }
-    logits[t] = acc;
-  }
-  return logits;
+  Matrix hidden(1, hidden_row.size());
+  std::copy(hidden_row.begin(), hidden_row.end(), hidden.row(0).begin());
+  const Matrix logits = logits_batch(hidden);
+  return {logits.flat().begin(), logits.flat().end()};
 }
 
 Matrix TinyModelWeights::logits_batch(const Matrix& hidden,
                                       int threads) const {
-  const std::size_t m_rows = hidden.rows();
   const std::size_t d = config_.d_model();
   HACK_CHECK(hidden.cols() == d, "hidden width " << hidden.cols()
                                                  << " != d_model " << d);
-  Matrix normed(m_rows, d);
-  for (std::size_t r = 0; r < m_rows; ++r) {
-    const auto n = rms_norm(hidden.row(r), norm_final_);
-    std::copy(n.begin(), n.end(), normed.row(r).begin());
-  }
-  Matrix out(m_rows, config_.vocab);
-  // Vocab-major sweep: each embedding row is read once and dotted against
-  // every batched hidden row while hot. Each out(r, t) runs the same
-  // ascending-c accumulation as logits(), so chunking cannot change results.
-  const auto sweep = [&](std::size_t t0, std::size_t t1) {
-    for (std::size_t t = t0; t < t1; ++t) {
-      const auto erow = embedding_.row(t);
-      for (std::size_t r = 0; r < m_rows; ++r) {
-        const auto nrow = normed.row(r);
-        float acc = 0.0f;
-        for (std::size_t c = 0; c < d; ++c) acc += nrow[c] * erow[c];
-        out(r, t) = acc;
-      }
-    }
-  };
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t chunks =
-      chunks_for_request(threads, config_.vocab, pool.lanes());
-  if (chunks <= 1) {
-    sweep(0, config_.vocab);
-  } else {
-    pool.parallel_for(config_.vocab, chunks, sweep);
-  }
-  return out;
+  return matmul(rms_norm_rows(hidden, norm_final_), embedding_t_, threads);
 }
 
 TinyModelWeights::QkvRows TinyModelWeights::project_qkv(std::size_t layer,
@@ -404,17 +373,28 @@ Matrix TinyModelWeights::finish_rows(std::size_t layer, Matrix x,
 
 void TinyModelWeights::apply_rope(Matrix& x, std::size_t head_count,
                                   std::size_t start_pos) const {
+  // No angle depends on the head: the inverse frequency is computed once per
+  // pair i, and cos/sin once per (row, i), with the same expressions as a
+  // per-head evaluation, so the rotation is the same bit for bit.
   const std::size_t dh = config_.d_head;
+  const std::size_t pairs = dh / 2;
+  std::vector<float> inv_freq(pairs), cos_t(pairs), sin_t(pairs);
+  for (std::size_t j = 0; j < pairs; ++j) {
+    inv_freq[j] = std::pow(config_.rope_base, -static_cast<float>(2 * j) /
+                                                  static_cast<float>(dh));
+  }
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const auto pos = static_cast<float>(start_pos + r);
+    for (std::size_t j = 0; j < pairs; ++j) {
+      const float theta = pos * inv_freq[j];
+      cos_t[j] = std::cos(theta);
+      sin_t[j] = std::sin(theta);
+    }
     for (std::size_t h = 0; h < head_count; ++h) {
-      for (std::size_t i = 0; i + 1 < dh; i += 2) {
-        const float theta =
-            pos * std::pow(config_.rope_base,
-                           -static_cast<float>(i) / static_cast<float>(dh));
-        const float c = std::cos(theta);
-        const float s = std::sin(theta);
-        const std::size_t base = h * dh + i;
+      for (std::size_t j = 0; j < pairs; ++j) {
+        const float c = cos_t[j];
+        const float s = sin_t[j];
+        const std::size_t base = h * dh + 2 * j;
         const float x0 = x(r, base);
         const float x1 = x(r, base + 1);
         x(r, base) = x0 * c - x1 * s;
@@ -425,7 +405,7 @@ void TinyModelWeights::apply_rope(Matrix& x, std::size_t head_count,
 }
 
 std::size_t TinyModelWeights::weight_bytes() const {
-  std::size_t floats = embedding_.size() + norm_final_.size();
+  std::size_t floats = embedding_t_.stored_size() + norm_final_.size();
   for (const LayerWeights& lw : layers_) {
     floats += lw.wq.stored_size() + lw.wk.stored_size() +
               lw.wv.stored_size() + lw.wo.stored_size() +

@@ -165,19 +165,20 @@ class TinyModelWeights {
   const TinyConfig& config() const { return config_; }
   const LayerWeights& layer(std::size_t i) const { return layers_[i]; }
 
-  // Embedding rows for a token batch.
+  // Embedding rows for a token batch (gathered from the packed Eᵀ).
   Matrix embed(const std::vector<int>& tokens) const;
 
-  // Final RMSNorm + tied LM head over one hidden row.
+  // Final RMSNorm + tied LM head over one hidden row: logits_batch on a
+  // one-row block.
   std::vector<float> logits(std::span<const float> hidden_row) const;
 
-  // Batched LM head: one [rows × d] · [d × vocab] launch over the tied
-  // embedding for several sequences' final hidden rows. Row r of the result
-  // is bit-identical to logits(hidden.row(r)) — same rms_norm, same
-  // per-element accumulation order — the batching only hoists the vocab
-  // sweep so M emitting lanes read the embedding matrix once per step
-  // instead of M times. `threads` follows the library convention (0 = auto
-  // on the shared pool, 1 = serial, N = at most N chunks of vocab rows).
+  // Batched LM head: rms_norm per row, then one packed GEMM
+  // [rows × d] · Eᵀ [d × vocab] on the tied embedding. Each logit is
+  // Σ_c normed[c] · E(t, c) accumulated in ascending c from +0, one rounded
+  // multiply and one rounded add per step, so row r depends only on
+  // hidden.row(r) and equals logits(hidden.row(r)) bit for bit. `threads`
+  // follows the library convention (0 = auto on the shared pool, 1 =
+  // serial, N = at most N chunks of vocab panels).
   Matrix logits_batch(const Matrix& hidden, int threads = 0) const;
 
   // Phase A's weight side over any stacked block of hidden rows x
@@ -206,7 +207,7 @@ class TinyModelWeights {
 
  private:
   TinyConfig config_;
-  Matrix embedding_;  // vocab x d_model (tied LM head)
+  PackedMatrix embedding_t_;  // Eᵀ, d_model x vocab (tied LM head)
   std::vector<LayerWeights> layers_;
   std::vector<float> norm_final_;
 };

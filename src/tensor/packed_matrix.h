@@ -6,12 +6,13 @@
 // nothing on one core. PackedMatrix stores B as ceil(N / 8) column panels;
 // panel p holds columns [8p, 8p + 8) for every k, contiguously and k-major
 // (panel[k * 8 + jj] = B(k, 8p + jj)), the last panel zero-padded. The kernel
-// keeps an R-row x 8-column tile of C in registers while it walks one panel,
-// so each panel is read once per R rows instead of once per row.
+// keeps an R-row x 8-column tile of C in registers while it walks one panel
+// (16 columns over two adjacent panels on the AVX-512 arm), so each panel is
+// read once per R rows instead of once per row.
 //
 // Bit-identity with matmul(a, unpacked B): every C(i, j) starts at +0 and
 // accumulates a(i, k) * B(k, j) in ascending k, one rounded multiply then one
-// rounded add per step (no FMA, in either dispatch arm). matmul skips
+// rounded add per step (no FMA, in any dispatch arm). matmul skips
 // a(i, k) == 0; the packed kernel does not, which adds a(i, k) * B(k, j) =
 // ±0 instead. That is the identity on C because C is never -0 (it starts at
 // +0, and a rounded sum is -0 only when both addends are), provided B(k, j)
@@ -20,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -40,6 +42,11 @@ class PackedMatrix {
   // Overwrites row k with `values` (cols() entries, each finite). Lets a
   // caller pack a matrix as it is generated, one row held unpacked at a time.
   void set_row(std::size_t k, std::span<const float> values);
+  // Overwrites column j with `values` (rows() entries, each finite): packs
+  // a transpose as its rows are generated.
+  void set_col(std::size_t j, std::span<const float> values);
+  // Copies column j (rows() entries) into `out`.
+  void copy_col(std::size_t j, std::span<float> out) const;
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -66,9 +73,24 @@ class PackedMatrix {
 // (0 = all pool lanes, 1 = serial, N = at most N chunks of panels).
 Matrix matmul(const Matrix& a, const PackedMatrix& b, int threads = 0);
 
-// Test hook: force the portable (non-SIMD) packed kernel regardless of CPU
-// features. Not thread-safe against in-flight GEMMs; flip it only around
-// single-threaded test sections.
-void packed_matmul_force_portable(bool on);
+// The packed kernel's dispatch arms. kAvx512 holds two adjacent panels in
+// one 16-wide register; kAvx2 one panel per 8-wide register; kPortable is
+// plain C++. All three give the same bits.
+enum class PackedArm { kPortable, kAvx2, kAvx512 };
+
+const char* packed_arm_name(PackedArm arm);
+
+// The arms this CPU can run, portable first. Run-time dispatch picks the
+// last one.
+std::vector<PackedArm> packed_matmul_arms();
+
+// The arm the next packed matmul runs.
+PackedArm packed_matmul_arm();
+
+// Test hook: force `arm` (one of packed_matmul_arms()) regardless of what
+// dispatch would pick, or restore dispatch with std::nullopt. Not
+// thread-safe against in-flight GEMMs; flip it only around single-threaded
+// test sections.
+void packed_matmul_force_arm(std::optional<PackedArm> arm);
 
 }  // namespace hack

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -199,35 +202,45 @@ Matrix a_with_zeros(std::size_t m, std::size_t z, Rng& rng) {
   return a;
 }
 
-// Runs the packed kernel on both dispatch arms (AVX2 where the CPU has it,
-// and the forced portable arm), restoring auto-dispatch afterwards.
+// Runs fn(arm name) once on every packed-kernel arm this CPU has, forced,
+// restoring run-time dispatch afterwards.
 template <typename Fn>
 void for_each_arm(Fn&& fn) {
-  for (const bool portable : {false, true}) {
-    packed_matmul_force_portable(portable);
-    fn(portable);
+  for (const PackedArm arm : packed_matmul_arms()) {
+    packed_matmul_force_arm(arm);
+    fn(packed_arm_name(arm));
   }
-  packed_matmul_force_portable(false);
+  packed_matmul_force_arm(std::nullopt);
+}
+
+// The arms for_each_arm runs here, for the test log.
+void print_arms() {
+  std::string names;
+  for (const PackedArm arm : packed_matmul_arms()) {
+    names += std::string(" ") + packed_arm_name(arm);
+  }
+  std::printf("packed GEMM arms exercised:%s\n", names.c_str());
 }
 
 TEST(PackedMatmul, BitIdenticalToMatmulAcrossShapes) {
   Rng rng(2024);
   const std::vector<std::size_t> ms = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 128};
   for (const std::size_t z : {1u, 37u, 129u}) {
-    for (const std::size_t n : {1u, 7u, 13u, 100u, 256u}) {
+    // 24 and 1000 leave an odd trailing panel (3 and 125 panels).
+    for (const std::size_t n : {1u, 7u, 13u, 24u, 100u, 256u, 1000u}) {
       const Matrix b = Matrix::random_gaussian(z, n, rng);
       const PackedMatrix packed(b);
       for (const std::size_t m : ms) {
         const Matrix a = a_with_zeros(m, z, rng);
         const Matrix want = matmul(a, b);
-        for_each_arm([&](bool portable) {
+        for_each_arm([&](const char* arm) {
           EXPECT_TRUE(bitwise_equal(matmul(a, packed), want))
-              << "m " << m << " z " << z << " n " << n << " portable "
-              << portable;
+              << "m " << m << " z " << z << " n " << n << " arm " << arm;
         });
       }
     }
   }
+  print_arms();
 }
 
 // Above the parallel threshold the panels split over the pool; the result
@@ -241,10 +254,10 @@ TEST(PackedMatmul, BitIdenticalForAnyPoolPartition) {
     ASSERT_GE(m * z * n, kParallelMatmulMinMacs);
     const Matrix a = a_with_zeros(m, z, rng);
     const Matrix want = matmul(a, b);
-    for_each_arm([&](bool portable) {
+    for_each_arm([&](const char* arm) {
       for (const int lanes : {1, 2, 4}) {
         EXPECT_TRUE(bitwise_equal(matmul(a, packed, lanes), want))
-            << "m " << m << " lanes " << lanes << " portable " << portable;
+            << "m " << m << " lanes " << lanes << " arm " << arm;
       }
     });
   }
@@ -284,6 +297,43 @@ TEST(PackedMatrix, RowByRowPackingMatchesWholeMatrix) {
   EXPECT_TRUE(bitwise_equal(matmul(a, by_row), matmul(a, PackedMatrix(b))));
   EXPECT_THROW(by_row.set_row(13, b.row(0)), CheckError);
   EXPECT_THROW(by_row.set_row(0, std::vector<float>(20, 1.0f)), CheckError);
+}
+
+// Packing a transpose column by column (how the model packs its tied
+// embedding) gives the same panels as packing it row by row, and copy_col
+// reads a column back.
+TEST(PackedMatrix, ColumnPackingMatchesRowPacking) {
+  Rng rng(33);
+  const Matrix b = Matrix::random_gaussian(11, 19, rng);
+  const Matrix bt = transpose(b);
+  PackedMatrix by_col(11, 19);
+  for (std::size_t j = 0; j < 19; ++j) by_col.set_col(j, bt.row(j));
+  const Matrix a = Matrix::random_uniform(3, 11, rng);
+  EXPECT_TRUE(bitwise_equal(matmul(a, by_col), matmul(a, PackedMatrix(b))));
+  std::vector<float> col(11);
+  for (std::size_t j = 0; j < 19; ++j) {
+    by_col.copy_col(j, col);
+    for (std::size_t k = 0; k < 11; ++k) EXPECT_EQ(col[k], b(k, j));
+  }
+  EXPECT_THROW(by_col.set_col(19, bt.row(0)), CheckError);
+  EXPECT_THROW(by_col.copy_col(0, std::span<float>(col).first(10)),
+               CheckError);
+  std::vector<float> bad(11, 1.0f);
+  bad[4] = std::numeric_limits<float>::infinity();
+  EXPECT_THROW(by_col.set_col(2, bad), CheckError);
+}
+
+// Run-time dispatch picks the widest arm the CPU has; forcing an arm and
+// clearing the force round-trips.
+TEST(PackedMatmul, DispatchPicksWidestArm) {
+  const std::vector<PackedArm> arms = packed_matmul_arms();
+  ASSERT_FALSE(arms.empty());
+  EXPECT_EQ(arms.front(), PackedArm::kPortable);
+  EXPECT_EQ(packed_matmul_arm(), arms.back());
+  packed_matmul_force_arm(PackedArm::kPortable);
+  EXPECT_EQ(packed_matmul_arm(), PackedArm::kPortable);
+  packed_matmul_force_arm(std::nullopt);
+  EXPECT_EQ(packed_matmul_arm(), arms.back());
 }
 
 // Finite weights are the precondition of dropping matmul's zero skip

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <optional>
+#include <string>
 
 #include "base/check.h"
+#include "base/rng.h"
 #include "model/tiny_transformer.h"
+#include "tensor/packed_matrix.h"
 #include "workload/corpus.h"
 
 namespace hack {
@@ -194,6 +200,128 @@ TEST(TinyTransformer, EosStopsGeneration) {
   TinyTransformer model(cfg, make_exact_backend());
   const auto stopped = model.generate(prompt, 12, /*eos=*/unbounded[1]);
   EXPECT_LT(stopped.size(), unbounded.size());
+}
+
+bool bitwise_equal(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The final RMSNorm with unit gains, as the model computes it.
+std::vector<float> rms_norm_unit(std::span<const float> x) {
+  double sum_sq = 0.0;
+  for (const float v : x) sum_sq += static_cast<double>(v) * v;
+  const float inv_rms = 1.0f / std::sqrt(static_cast<float>(
+                                  sum_sq / static_cast<double>(x.size())) +
+                              1e-6f);
+  std::vector<float> out(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] * inv_rms * 1.0f;
+  return out;
+}
+
+// The LM head runs on the packed GEMM. Vocab 1000 is 125 panels, so the
+// AVX-512 arm also hands an odd trailing panel to the AVX2 tile, and from
+// M = 9 up the product is large enough to split over the pool.
+TEST(TinyModelWeights, LmHeadBitIdenticalToScalarSweepOnEveryArm) {
+  TinyConfig cfg;
+  cfg.vocab = 1000;
+  cfg.layers = 1;
+  cfg.heads = 4;
+  cfg.kv_heads = 2;
+  cfg.d_head = 64;
+  cfg.d_ff = 64;
+  const TinyModelWeights weights(cfg);
+  const std::size_t d = cfg.d_model();
+
+  // embed() returns the rows the seed's row-major draw gives.
+  std::vector<int> all_tokens(cfg.vocab);
+  for (std::size_t t = 0; t < cfg.vocab; ++t) {
+    all_tokens[t] = static_cast<int>(t);
+  }
+  const Matrix table = weights.embed(all_tokens);
+  Rng rng(cfg.weight_seed);
+  const Matrix drawn = Matrix::random_gaussian(
+      cfg.vocab, d, rng, 1.0f / std::sqrt(static_cast<float>(d)));
+  ASSERT_TRUE(bitwise_equal(table.flat(), drawn.flat()));
+  const Matrix some = weights.embed({7, 0, 999, 7});
+  EXPECT_TRUE(bitwise_equal(some.row(2), drawn.row(999)));
+  EXPECT_TRUE(bitwise_equal(some.row(3), drawn.row(7)));
+
+  Rng hidden_rng(55);
+  std::string arms;
+  for (const PackedArm arm : packed_matmul_arms()) {
+    arms += std::string(" ") + packed_arm_name(arm);
+    packed_matmul_force_arm(arm);
+    for (const std::size_t m : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 17u, 33u}) {
+      Matrix hidden = Matrix::random_gaussian(m, d, hidden_rng);
+      for (std::size_t r = 0; r < m; ++r) hidden(r, (r * 5) % d) = 0.0f;
+      const Matrix got = weights.logits_batch(hidden);
+      ASSERT_EQ(got.rows(), m);
+      ASSERT_EQ(got.cols(), cfg.vocab);
+      for (std::size_t r = 0; r < m; ++r) {
+        const std::vector<float> normed = rms_norm_unit(hidden.row(r));
+        std::vector<float> want(cfg.vocab);
+        for (std::size_t t = 0; t < cfg.vocab; ++t) {
+          float acc = 0.0f;
+          for (std::size_t c = 0; c < d; ++c) {
+            acc = acc + normed[c] * table(t, c);
+          }
+          want[t] = acc;
+        }
+        EXPECT_TRUE(bitwise_equal(got.row(r), want))
+            << "m " << m << " row " << r << " arm " << packed_arm_name(arm);
+      }
+      EXPECT_TRUE(bitwise_equal(weights.logits(hidden.row(0)), got.row(0)))
+          << "m " << m << " arm " << packed_arm_name(arm);
+    }
+  }
+  packed_matmul_force_arm(std::nullopt);
+  std::printf("packed GEMM arms exercised:%s\n", arms.c_str());
+}
+
+// RoPE as it was evaluated before its angles were hoisted: pow, cos and sin
+// per (row, head, pair).
+void rope_per_head(Matrix& x, std::size_t head_count, std::size_t start_pos,
+                   std::size_t dh, float rope_base) {
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const auto pos = static_cast<float>(start_pos + r);
+    for (std::size_t h = 0; h < head_count; ++h) {
+      for (std::size_t i = 0; i + 1 < dh; i += 2) {
+        const float theta =
+            pos * std::pow(rope_base,
+                           -static_cast<float>(i) / static_cast<float>(dh));
+        const float c = std::cos(theta);
+        const float s = std::sin(theta);
+        const std::size_t base = h * dh + i;
+        const float x0 = x(r, base);
+        const float x1 = x(r, base + 1);
+        x(r, base) = x0 * c - x1 * s;
+        x(r, base + 1) = x0 * s + x1 * c;
+      }
+    }
+  }
+}
+
+TEST(TinyModelWeights, RopeMatchesPerHeadEvaluationBitwise) {
+  Rng rng(8);
+  for (const std::size_t d_head : {128u, 32u, 7u}) {
+    TinyConfig cfg = small_config();
+    cfg.heads = 8;
+    cfg.kv_heads = 2;
+    cfg.d_head = d_head;
+    const TinyModelWeights weights(cfg);
+    for (const std::size_t heads : {1u, 2u, 8u}) {
+      for (const std::size_t start : {0u, 1u, 13u, 300u, 4093u}) {
+        const Matrix x = Matrix::random_gaussian(5, heads * d_head, rng);
+        Matrix got = x, want = x;
+        weights.apply_rope(got, heads, start);
+        rope_per_head(want, heads, start, d_head, cfg.rope_base);
+        EXPECT_TRUE(bitwise_equal(got.flat(), want.flat()))
+            << "d_head " << d_head << " heads " << heads << " start "
+            << start;
+      }
+    }
+  }
 }
 
 }  // namespace
